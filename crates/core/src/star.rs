@@ -17,6 +17,22 @@
 //!    producing `Σ_j exp(x_j − x_max)` in one analog shot.
 //! 5. **Division**: a fixed-point divider produces
 //!    `exp(x_i − x_max) / Σ` for each element.
+//!
+//! # Simulation
+//!
+//! CAM search, the noiseless subtract and LUT reads are pure functions of
+//! the programmed (possibly stuck-faulted) cells and draw no random
+//! numbers. The engine therefore reads each of them once per code, the
+//! first time the code is seen, from the arrays' own cost-free peeks
+//! ([`CamSubCrossbar::first_match`], [`CamSubCrossbar::effective_raw`],
+//! [`CamCrossbar::matches`], [`LutCrossbar::peek_row`]), and looks the
+//! result up after that. The stages that draw random numbers — the noisy
+//! subtract and the summation VMM — still run per read, in the same order.
+//! Every row still records its per-operation costs — `n` searches, one
+//! merge, `n` subtracts, `n` exp searches and `n` LUT reads — in the array
+//! ledgers and telemetry, in bulk and with bit-identical totals. The
+//! per-element crossbar dataflow remains the oracle: the
+//! `crossbar_oracle` test suite replays it and compares bit for bit.
 
 use crate::engine::{fixed_divide, SoftmaxEngine};
 use rand::SeedableRng;
@@ -159,6 +175,69 @@ pub struct StarGeometry {
     pub vmm: Geometry,
 }
 
+/// One exp CAM search's outcome: the LUT row it drives, and whether the
+/// controller had to recover from a zero- or multi-hot matchline vector.
+#[derive(Debug, Clone, Copy)]
+struct ExpHit {
+    row: usize,
+    recovered: bool,
+}
+
+/// Per-code results of the stages that draw no random numbers (see the
+/// module docs). Each entry is read from its array's cost-free peek the
+/// first time its code is seen. The tables are allocated on the first row
+/// and filled lazily, so building an engine that only prices rows (the
+/// cost models build many) costs no more than programming its arrays.
+#[derive(Debug)]
+struct StageTables {
+    /// Per CAM/SUB row of an input code: the first row its search matches.
+    first_match: Vec<Option<Option<usize>>>,
+    /// Per CAM/SUB row: the raw code the row effectively stores.
+    effective_raw: Vec<Option<i64>>,
+    /// Per difference magnitude: the exp CAM search outcome.
+    exp_row: Vec<Option<ExpHit>>,
+    /// Per exp LUT row: the word it holds.
+    lut_word: Vec<Option<u32>>,
+}
+
+impl StageTables {
+    fn new(codes: usize, magnitudes: usize) -> Self {
+        StageTables {
+            first_match: vec![None; codes],
+            effective_raw: vec![None; codes],
+            exp_row: vec![None; magnitudes],
+            lut_word: vec![None; magnitudes],
+        }
+    }
+
+    fn first_match(&mut self, cam_sub: &CamSubCrossbar, row: usize) -> Option<usize> {
+        *self.first_match[row].get_or_insert_with(|| cam_sub.first_match(cam_sub.value_of(row)))
+    }
+
+    fn effective_raw(&mut self, cam_sub: &CamSubCrossbar, row: usize) -> i64 {
+        *self.effective_raw[row].get_or_insert_with(|| cam_sub.effective_raw(row))
+    }
+
+    fn exp_row(&mut self, exp_cam: &CamCrossbar, mag: usize) -> ExpHit {
+        *self.exp_row[mag].get_or_insert_with(|| {
+            let bits: Vec<bool> =
+                (0..exp_cam.word_bits()).rev().map(|b| (mag >> b) & 1 == 1).collect();
+            let hits = exp_cam.matches(&bits);
+            let mut hot = hits.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i);
+            match (hot.next(), hot.next()) {
+                (Some(row), None) => ExpHit { row, recovered: false },
+                // A defective CAM produced zero or multiple matchlines; the
+                // controller falls back to the nominal row.
+                _ => ExpHit { row: mag, recovered: true },
+            }
+        })
+    }
+
+    fn lut_word(&mut self, lut: &LutCrossbar, row: usize) -> u32 {
+        *self.lut_word[row].get_or_insert_with(|| lut.peek_row(row) as u32)
+    }
+}
+
 /// The STAR softmax engine.
 ///
 /// Implements [`RowSoftmax`] (functional, bit-accurate over the crossbar
@@ -187,6 +266,7 @@ pub struct StarSoftmax {
     vmm: VmmCrossbar,
     /// Nominal exp codes per difference magnitude (index = magnitude code).
     exp_codes: Vec<u32>,
+    tables: Option<StageTables>,
     counter_bits: u8,
     fault_events: u64,
     rng: ChaCha8Rng,
@@ -264,6 +344,7 @@ impl StarSoftmax {
             lut,
             vmm,
             exp_codes,
+            tables: None,
             counter_bits,
             fault_events: 0,
             rng,
@@ -300,30 +381,6 @@ impl StarSoftmax {
     /// Quantizes a raw score into the engine's input format.
     pub fn quantize(&self, score: f64) -> Fixed {
         Fixed::from_f64(score, self.config.format, Rounding::Nearest)
-    }
-
-    /// Runs the exponential stage for one difference, returning the exp
-    /// code read from the LUT (and updating the histogram + fault count).
-    fn exp_lookup(&mut self, diff: Fixed, histogram: &mut [u64]) -> u32 {
-        let clamped = encoding::clamp_for_magnitude(diff);
-        let mag = clamped.magnitude_code() as usize;
-        let bits = encoding::to_magnitude(clamped);
-        let one_hot = self.exp_cam.search(&bits);
-        let hot: Vec<usize> =
-            one_hot.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect();
-        let row = match hot.as_slice() {
-            [r] => *r,
-            _ => {
-                // Fault recovery: a defective CAM produced zero or multiple
-                // matchlines; the controller falls back to the nominal row.
-                self.fault_events += 1;
-                star_telemetry::count("star.faults.recovered", 1);
-                mag
-            }
-        };
-        histogram[row] += 1;
-        star_telemetry::count("star.exp.lut_hits", 1);
-        self.lut.read_row(row) as u32
     }
 
     /// Softmaxes every row of a score matrix through the engine.
@@ -409,43 +466,71 @@ impl RowSoftmax for StarSoftmax {
             &[8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
         );
 
-        // Stage 1: x_i − x_max on the CAM/SUB crossbar.
-        let max = match self.cam_sub.find_max(&xs) {
-            Ok(found) => found.max,
-            Err(_) => {
+        let fmt = self.config.format;
+        let codes = self.cam_sub.geometry().rows();
+        let tables = self
+            .tables
+            .get_or_insert_with(|| StageTables::new(codes, fmt.num_magnitudes() as usize));
+
+        // Stage 1: x_max by CAM search + OR-merge + priority encode — the
+        // smallest first-matching row over the inputs.
+        let n = xs.len() as u64;
+        let code_rows: Vec<usize> = xs.iter().map(|&x| self.cam_sub.row_of(x)).collect();
+        let winner = code_rows.iter().filter_map(|&r| tables.first_match(&self.cam_sub, r)).min();
+        self.cam_sub.record_max_search(n);
+        let max = match winner {
+            Some(row) => self.cam_sub.value_of(row),
+            None => {
                 // Fault recovery: digital max (the controller's safe path).
                 self.fault_events += 1;
                 star_telemetry::count("star.faults.recovered", 1);
                 xs.iter().copied().max().expect("non-empty")
             }
         };
+
+        // x_i − x_max on the CAM/SUB bitlines. Read noise draws per
+        // bitline, so a noisy array subtracts element by element.
         let noise = self.config.noise;
         let diffs: Vec<Fixed> = if noise.read_sigma > 0.0 {
-            let mut rng = self.rng.clone();
-            let out =
-                xs.iter().map(|&x| self.cam_sub.subtract_noisy(x, max, &noise, &mut rng)).collect();
-            self.rng = rng;
-            out
+            xs.iter().map(|&x| self.cam_sub.subtract_noisy(x, max, &noise, &mut self.rng)).collect()
         } else {
-            xs.iter().map(|&x| self.cam_sub.subtract(x, max)).collect()
+            let vm = tables.effective_raw(&self.cam_sub, self.cam_sub.row_of(max));
+            let out = code_rows
+                .iter()
+                .map(|&r| {
+                    let vx = tables.effective_raw(&self.cam_sub, r);
+                    Fixed::from_raw((vx - vm).min(0), fmt)
+                })
+                .collect();
+            self.cam_sub.record_subtracts(n);
+            out
         };
 
-        // Stage 2: exponential lookups + histogram counting.
-        let magnitudes = self.config.format.num_magnitudes() as usize;
-        let mut histogram = vec![0u64; magnitudes];
-        let codes: Vec<u32> = diffs.iter().map(|&d| self.exp_lookup(d, &mut histogram)).collect();
+        // Stage 2: exp CAM search → LUT read, counting each hit row.
+        let mut histogram = vec![0u64; fmt.num_magnitudes() as usize];
+        let mut recovered = 0u64;
+        let codes: Vec<u32> = diffs
+            .iter()
+            .map(|&d| {
+                let mag = encoding::clamp_for_magnitude(d).magnitude_code() as usize;
+                let hit = tables.exp_row(&self.exp_cam, mag);
+                recovered += u64::from(hit.recovered);
+                histogram[hit.row] += 1;
+                tables.lut_word(&self.lut, hit.row)
+            })
+            .collect();
+        self.exp_cam.record_searches(n);
+        if recovered > 0 {
+            self.fault_events += recovered;
+            star_telemetry::count("star.faults.recovered", recovered);
+        }
+        star_telemetry::count("star.exp.lut_hits", n);
+        self.lut.record_reads(n);
 
         // Summation on the VMM crossbar, then fixed-point division.
-        let sum_raw = if noise.read_sigma > 0.0 {
-            let mut rng = self.rng.clone();
-            let s = self.vmm.multiply_with(&histogram, self.counter_bits, &mut rng)[0];
-            self.rng = rng;
-            s
-        } else {
-            self.vmm.multiply(&histogram, self.counter_bits)[0]
-        };
+        let sum_raw = self.vmm.multiply_with(&histogram, self.counter_bits, &mut self.rng)[0];
         let sum = sum_raw.round().max(1.0) as u64;
-        star_telemetry::count("star.div.quotients", codes.len() as u64);
+        star_telemetry::count("star.div.quotients", n);
         codes.iter().map(|&c| fixed_divide(c as u64, sum, self.config.quotient_bits)).collect()
     }
 

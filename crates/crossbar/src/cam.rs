@@ -126,17 +126,55 @@ impl CamCrossbar {
 
     /// Searches the array: returns the per-row match vector.
     ///
+    /// Equivalent to [`CamCrossbar::matches`] followed by
+    /// [`CamCrossbar::record_searches`]`(1)`.
+    ///
     /// # Panics
     ///
     /// Panics if `key.len() != word_bits`.
     pub fn search(&mut self, key: &[bool]) -> Vec<bool> {
-        assert_eq!(key.len(), self.word_bits, "search key width mismatch");
-        let result = (0..self.geometry.rows()).map(|r| self.row_matches(r, key)).collect();
-        let cost = self.search_cost();
-        self.ledger.record(cost);
-        star_telemetry::count("crossbar.cam.searches", 1);
-        star_telemetry::add("crossbar.cam.energy_pj", cost.energy.value());
+        let result = self.matches(key);
+        self.record_searches(1);
         result
+    }
+
+    /// The per-row match vector of a search, without recording its cost.
+    ///
+    /// A search is a pure function of the (possibly stuck-faulted) stored
+    /// cells: it draws no random numbers, so a caller may evaluate it once
+    /// per key and account for repeated searches with
+    /// [`CamCrossbar::record_searches`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.len() != word_bits`.
+    pub fn matches(&self, key: &[bool]) -> Vec<bool> {
+        assert_eq!(key.len(), self.word_bits, "search key width mismatch");
+        (0..self.geometry.rows()).map(|r| self.row_matches(r, key)).collect()
+    }
+
+    /// The first (lowest-index) row a search for `key` matches, without
+    /// recording its cost — the priority encoder's view of
+    /// [`CamCrossbar::matches`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.len() != word_bits`.
+    pub fn first_match(&self, key: &[bool]) -> Option<usize> {
+        assert_eq!(key.len(), self.word_bits, "search key width mismatch");
+        (0..self.geometry.rows()).find(|&r| self.row_matches(r, key))
+    }
+
+    /// Records the cost of `n` searches in the ledger and telemetry,
+    /// bit-identically to `n` calls of [`CamCrossbar::search`].
+    pub fn record_searches(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let cost = self.search_cost();
+        self.ledger.record_n(cost, n);
+        star_telemetry::count("crossbar.cam.searches", n);
+        star_telemetry::add_n("crossbar.cam.energy_pj", cost.energy.value(), n);
     }
 
     /// Energy/latency of one parallel search cycle.
@@ -310,6 +348,34 @@ mod tests {
         c.inject_fault(0, 0, 0, StuckFault::StuckOff);
         let m = c.search(&[false, false]);
         assert!(m[0]);
+    }
+
+    #[test]
+    fn peek_and_record_compose_to_search() {
+        let mut c = cam(8, 3);
+        for r in 0..8 {
+            let bits: Vec<bool> = (0..3).map(|b| (r >> b) & 1 == 1).collect();
+            c.store_row(r, &bits);
+        }
+        c.inject_fault(5, 1, 0, StuckFault::StuckOff);
+        let mut bulk = c.clone();
+        let keys: Vec<Vec<bool>> =
+            (0..8).map(|r| (0..3).map(|b| (r >> b) & 1 == 1).collect()).collect();
+        let ((), seq_snap) = star_telemetry::with_scoped(|| {
+            for key in &keys {
+                let hits = c.search(key);
+                assert_eq!(c.first_match(key), hits.iter().position(|&h| h));
+            }
+        });
+        let ((), bulk_snap) = star_telemetry::with_scoped(|| {
+            for key in &keys {
+                let _ = bulk.matches(key);
+            }
+            bulk.record_searches(keys.len() as u64);
+            bulk.record_searches(0);
+        });
+        assert_eq!(seq_snap, bulk_snap);
+        assert_eq!(c.ledger(), bulk.ledger());
     }
 
     #[test]

@@ -157,25 +157,43 @@ impl CamSubCrossbar {
         let mut per_input_rows = Vec::with_capacity(inputs.len());
         for &x in inputs {
             debug_assert_eq!(x.format(), self.format, "input format mismatch");
-            let key = encoding::to_twos_complement(x);
-            let hits = self.cam.search(&key);
-            let mut first = None;
-            for (r, hit) in hits.iter().enumerate() {
-                if *hit {
-                    merged[r] = true;
-                    if first.is_none() {
-                        first = Some(r);
-                    }
-                }
+            let hits = self.cam.matches(&encoding::to_twos_complement(x));
+            for (m, &hit) in merged.iter_mut().zip(&hits) {
+                *m |= hit;
             }
-            per_input_rows.push(first);
+            per_input_rows.push(hits.iter().position(|&h| h));
         }
+        self.record_max_search(inputs.len() as u64);
+        let row = merged.iter().position(|&h| h).ok_or(SearchError::NoMatch)?;
+        Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
+    }
+
+    /// The first row a search for `x` matches, without recording its
+    /// cost. The max search's winner is the smallest of these over its
+    /// inputs (OR-merge then priority encode), and `None` for every input
+    /// is [`SearchError::NoMatch`]. Pure: it draws no random numbers.
+    pub fn first_match(&self, x: Fixed) -> Option<usize> {
+        debug_assert_eq!(x.format(), self.format, "input format mismatch");
+        self.cam.first_match(&encoding::to_twos_complement(x))
+    }
+
+    /// The raw code a row *effectively* stores, reading through any stuck
+    /// faults — what the bitlines carry when the row is driven. The
+    /// noiseless [`CamSubCrossbar::subtract`] of `x` and `max` is
+    /// `(effective_raw(row_of(x)) − effective_raw(row_of(max))).min(0)`.
+    pub fn effective_raw(&self, row: usize) -> i64 {
+        encoding::from_twos_complement(&self.cam.effective_row(row), self.format).raw()
+    }
+
+    /// Records a max search over `n` inputs: `n` CAM searches and one
+    /// OR-merge + priority encode, bit-identically to what
+    /// [`CamSubCrossbar::find_max`] records.
+    pub fn record_max_search(&mut self, n: u64) {
+        self.cam.record_searches(n);
         let merge = self.merge_cost();
         self.ledger.record(merge);
         star_telemetry::count("crossbar.camsub.max_searches", 1);
         star_telemetry::add("crossbar.camsub.energy_pj", merge.energy.value());
-        let row = merged.iter().position(|&h| h).ok_or(SearchError::NoMatch)?;
-        Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
     }
 
     /// SUB phase for one input (Fig. 1 steps ④–⑤): drives `x`'s row
@@ -189,16 +207,23 @@ impl CamSubCrossbar {
     pub fn subtract(&mut self, x: Fixed, max: Fixed) -> Fixed {
         debug_assert_eq!(x.format(), self.format);
         debug_assert_eq!(max.format(), self.format);
-        let bits_x = self.cam.effective_row(self.row_of(x));
-        let bits_m = self.cam.effective_row(self.row_of(max));
-        let vx = encoding::from_twos_complement(&bits_x, self.format);
-        let vm = encoding::from_twos_complement(&bits_m, self.format);
-        let raw = (vx.raw() - vm.raw()).min(0); // differences are ≤ 0 by construction
+        let vx = self.effective_raw(self.row_of(x));
+        let vm = self.effective_raw(self.row_of(max));
+        self.record_subtracts(1);
+        // Differences are ≤ 0 by construction.
+        Fixed::from_raw((vx - vm).min(0), self.format)
+    }
+
+    /// Records the cost of `n` subtractions in the ledger and telemetry,
+    /// bit-identically to `n` calls of [`CamSubCrossbar::subtract`].
+    pub fn record_subtracts(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
         let sub = self.subtract_cost();
-        self.ledger.record(sub);
-        star_telemetry::count("crossbar.camsub.subtracts", 1);
-        star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
-        Fixed::from_raw(raw, self.format)
+        self.ledger.record_n(sub, n);
+        star_telemetry::count("crossbar.camsub.subtracts", n);
+        star_telemetry::add_n("crossbar.camsub.energy_pj", sub.energy.value(), n);
     }
 
     /// Like [`CamSubCrossbar::subtract`], additionally applying per-bitline
@@ -226,10 +251,7 @@ impl CamSubCrossbar {
             let weight = 1i64 << (n - 1 - j);
             raw += if j == 0 { -digit * weight } else { digit * weight };
         }
-        let sub = self.subtract_cost();
-        self.ledger.record(sub);
-        star_telemetry::count("crossbar.camsub.subtracts", 1);
-        star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
+        self.record_subtracts(1);
         Fixed::from_raw(raw.min(0), self.format)
     }
 

@@ -142,6 +142,16 @@ impl Ledger {
         self.busy += cost.latency;
     }
 
+    /// Records `n` identical operations, bit-identically to `n` calls of
+    /// [`Ledger::record`] (the totals are summed one operation at a time).
+    pub fn record_n(&mut self, cost: OpCost, n: u64) {
+        self.ops += n;
+        for _ in 0..n {
+            self.energy += cost.energy;
+            self.busy += cost.latency;
+        }
+    }
+
     /// Resets all totals.
     pub fn reset(&mut self) {
         *self = Ledger::default();
@@ -151,6 +161,28 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_n_matches_sequential_records_bitwise() {
+        // Inexact binary fractions, so any reassociation would show.
+        let a = OpCost::new(Energy::new(0.1), Latency::new(0.7));
+        let b = OpCost::new(Energy::new(1.0 / 3.0), Latency::new(0.3));
+        for n in [0u64, 1, 2, 513] {
+            let mut bulk = Ledger::new();
+            let mut seq = Ledger::new();
+            bulk.record_n(a, n);
+            bulk.record_n(b, n);
+            for _ in 0..n {
+                seq.record(a);
+            }
+            for _ in 0..n {
+                seq.record(b);
+            }
+            assert_eq!(bulk.ops, seq.ops);
+            assert_eq!(bulk.energy.value().to_bits(), seq.energy.value().to_bits(), "n {n}");
+            assert_eq!(bulk.busy.value().to_bits(), seq.busy.value().to_bits(), "n {n}");
+        }
+    }
 
     #[test]
     fn geometry_basics() {

@@ -102,20 +102,31 @@ impl LutCrossbar {
     /// Panics if `row` is out of range.
     pub fn read_row(&mut self, row: usize) -> u64 {
         assert!(row < self.geometry.rows(), "row {row} out of range");
-        let cost = self.read_cost();
-        self.ledger.record(cost);
-        star_telemetry::count("crossbar.lut.reads", 1);
-        star_telemetry::add("crossbar.lut.energy_pj", cost.energy.value());
+        self.record_reads(1);
         self.peek_row(row)
     }
 
-    /// Reads a row without recording cost (for assertions).
+    /// Reads a row without recording cost. A read is a pure function of
+    /// the (possibly stuck-faulted) cells, so a caller may peek once per
+    /// row and account for repeated reads with [`LutCrossbar::record_reads`].
     pub fn peek_row(&self, row: usize) -> u64 {
         let mut word = 0u64;
         for j in 0..self.word_bits {
             word = (word << 1) | u64::from(self.cells[row][j].stores_one());
         }
         word
+    }
+
+    /// Records the cost of `n` row reads in the ledger and telemetry,
+    /// bit-identically to `n` calls of [`LutCrossbar::read_row`].
+    pub fn record_reads(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let cost = self.read_cost();
+        self.ledger.record_n(cost, n);
+        star_telemetry::count("crossbar.lut.reads", n);
+        star_telemetry::add_n("crossbar.lut.energy_pj", cost.energy.value(), n);
     }
 
     /// Reads the row selected by a one-hot drive vector.

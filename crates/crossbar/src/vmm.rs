@@ -303,6 +303,13 @@ impl VmmCrossbar {
         for &x in inputs {
             assert!(x < limit, "input {x} overflows {input_bits} bits");
         }
+        // Rows with a zero input contribute to no bitline in any cycle, so
+        // only the driven rows are visited. Each bitline still sums its
+        // cells in ascending row order, and read noise is still drawn once
+        // per (bit, column, slice), so the result is bit-identical to a
+        // dense sweep.
+        let driven: Vec<(usize, u64)> =
+            inputs.iter().enumerate().filter(|&(_, &x)| x != 0).map(|(r, &x)| (r, x)).collect();
         let mut outputs = vec![0.0f64; self.cols];
         let unit = self.tech.g_lrs() - self.tech.g_hrs();
         let level_span = ((1u16 << self.bits_per_cell) - 1) as f64;
@@ -315,7 +322,7 @@ impl VmmCrossbar {
                     // level fraction level/(levels−1) ∈ [0, 1].
                     let mut current = 0.0f64;
                     let physical_col = c * self.slices + s;
-                    for (r, &x) in inputs.iter().enumerate() {
+                    for &(r, x) in &driven {
                         if (x >> b) & 1 == 1 {
                             let g = self.cells[r][physical_col].conductance();
                             let atten = match self.ir_drop {
@@ -494,6 +501,118 @@ mod tests {
         let analog = x.multiply(&inputs, 4);
         for (a, e) in analog.iter().zip(&exact) {
             assert!((a - *e as f64).abs() < 1e-9, "analog {a} vs exact {e}");
+        }
+    }
+
+    /// The dense bitline sweep `multiply_with` replaced: every row is
+    /// visited for every (bit, column, slice), driven or not.
+    fn dense_reference<R: Rng + ?Sized>(
+        x: &VmmCrossbar,
+        inputs: &[u64],
+        input_bits: u8,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let mut outputs = vec![0.0f64; x.cols];
+        let unit = x.tech.g_lrs() - x.tech.g_hrs();
+        let level_span = ((1u16 << x.bits_per_cell) - 1) as f64;
+        for b in (0..input_bits as usize).rev() {
+            for (c, out) in outputs.iter_mut().enumerate() {
+                for s in 0..x.slices {
+                    let mut current = 0.0f64;
+                    let physical_col = c * x.slices + s;
+                    for (r, &v) in inputs.iter().enumerate() {
+                        if (v >> b) & 1 == 1 {
+                            let g = x.cells[r][physical_col].conductance();
+                            let atten = match x.ir_drop {
+                                Some(m) => m.attenuation(
+                                    r,
+                                    physical_col,
+                                    x.rows,
+                                    x.cols * x.slices,
+                                    x.tech.g_lrs(),
+                                ),
+                                None => 1.0,
+                            };
+                            current += atten * (g - x.tech.g_hrs()) / unit;
+                        }
+                    }
+                    let current = if x.noise.read_sigma > 0.0 {
+                        x.noise.read(current, rng).max(0.0)
+                    } else {
+                        current
+                    };
+                    let digit_sum = match x.readout {
+                        Readout::Ideal => (current * level_span).round(),
+                        Readout::Adc(adc) => {
+                            if current <= 0.0 {
+                                0.0
+                            } else {
+                                let fs = x.rows as f64;
+                                (adc.dequantize(adc.quantize(current, fs), fs) * level_span).round()
+                            }
+                        }
+                    };
+                    let digit_shift = x.bits_per_cell as usize * (x.slices - 1 - s);
+                    *out += digit_sum * 2f64.powi(b as i32) * 2f64.powi(digit_shift as i32);
+                }
+            }
+        }
+        outputs
+    }
+
+    #[test]
+    fn sparse_multiply_matches_dense_reference_bitwise() {
+        let tech = TechnologyParams::cmos32();
+        let typical = NoiseModel::typical();
+        let faulty = NoiseModel::new(0.0, 0.0, 0.05, 0.05);
+        let noisy = NoiseModel::new(0.0, 0.04, 0.0, 0.0);
+        let arrays = [
+            ("ideal", 1, Readout::Ideal, NoiseModel::ideal(), None),
+            ("ir-drop", 1, Readout::Ideal, NoiseModel::ideal(), Some(IrDropModel::typical())),
+            ("adc", 1, Readout::Adc(AdcSpec::sar(6)), NoiseModel::ideal(), None),
+            ("noisy", 1, Readout::Ideal, noisy, None),
+            ("faulty-mlc", 2, Readout::Ideal, faulty, None),
+            (
+                "typical-adc-ir",
+                2,
+                Readout::Adc(AdcSpec::sar(5)),
+                typical,
+                Some(IrDropModel::typical()),
+            ),
+        ];
+        for (name, bpc, readout, noise, ir) in arrays {
+            let mut build_rng = ChaCha8Rng::seed_from_u64(5);
+            let mut x = VmmCrossbar::with_mlc(40, 3, 9, bpc, readout, &tech, noise, &mut build_rng);
+            x.set_ir_drop(ir);
+            let w: Vec<Vec<u32>> = (0..40)
+                .map(|r| (0..3).map(|c| ((r * 37 + c * 101) % 512) as u32).collect())
+                .collect();
+            x.store_weights(&w);
+            for density in [0usize, 1, 3, 7, 40] {
+                // Every `density`-th row driven (0 = all rows idle).
+                let inputs: Vec<u64> =
+                    (0..40)
+                        .map(|r| {
+                            if density > 0 && r % density == 0 {
+                                (r as u64 * 13 + 1) % 64
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                let mut fast_rng = ChaCha8Rng::seed_from_u64(99);
+                let mut ref_rng = ChaCha8Rng::seed_from_u64(99);
+                let fast = x.multiply_with(&inputs, 6, &mut fast_rng);
+                let dense = dense_reference(&x, &inputs, 6, &mut ref_rng);
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&dense), "{name}, density {density}");
+                // Both consumed the same draws, so the streams stay aligned.
+                assert_eq!(
+                    fast_rng.gen::<u64>(),
+                    ref_rng.gen::<u64>(),
+                    "{name}, density {density}"
+                );
+            }
         }
     }
 

@@ -126,6 +126,12 @@ pub fn add(name: &str, v: f64) {
     dispatch(|r| r.add(name, v));
 }
 
+/// Add `v` to accumulating gauge `name` `n` times in the active registry,
+/// bit-identically to `n` calls of [`add`] (see [`Registry::add_n`]).
+pub fn add_n(name: &str, v: f64, n: u64) {
+    dispatch(|r| r.add_n(name, v, n));
+}
+
 /// Set level gauge `name` to `v` in the active registry.
 pub fn set(name: &str, v: f64) {
     dispatch(|r| r.set(name, v));
@@ -184,6 +190,25 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn facade_add_n_matches_sequential_adds() {
+        let ((), bulk) = with_scoped(|| {
+            add_n("t.g", 0.7, 0);
+            add_n("t.g", 0.1, 9);
+            add_n("t.g", 0.3, 4);
+        });
+        let ((), seq) = with_scoped(|| {
+            for _ in 0..9 {
+                add("t.g", 0.1);
+            }
+            for _ in 0..4 {
+                add("t.g", 0.3);
+            }
+        });
+        assert_eq!(bulk, seq);
+        assert_eq!(bulk.gauges["t.g"].to_bits(), seq.gauges["t.g"].to_bits());
+    }
 
     #[test]
     fn scoped_isolates_from_global() {

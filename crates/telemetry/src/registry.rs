@@ -272,6 +272,32 @@ impl Registry {
         }
     }
 
+    /// Adds `v` to the accumulating gauge `name` `n` times under one lock.
+    ///
+    /// The result is bit-identical to `n` sequential [`Registry::add`]
+    /// calls: the same rounding happens at every step, the gauge is created
+    /// only by the first add, and `n == 0` leaves the registry untouched.
+    pub fn add_n(&self, name: &str, v: f64, n: u64) {
+        if n == 0 || !self.is_enabled() {
+            return;
+        }
+        let mut inner = self.lock();
+        match inner.gauges.get_mut(name) {
+            Some(g) => {
+                for _ in 0..n {
+                    *g += v;
+                }
+            }
+            None => {
+                let mut g = v;
+                for _ in 1..n {
+                    g += v;
+                }
+                inner.gauges.insert(name.to_string(), g);
+            }
+        }
+    }
+
     /// Set gauge `name` to `v` (last-write-wins; for levels, not totals).
     pub fn set(&self, name: &str, v: f64) {
         if !self.is_enabled() {
@@ -597,6 +623,40 @@ mod tests {
         r.set_enabled(true);
         r.count("x", 1);
         assert_eq!(r.counter_value("x"), 1);
+    }
+
+    #[test]
+    fn add_n_matches_sequential_adds_bitwise() {
+        // 0.1 is inexact in binary, so any reassociation would show.
+        for (start, n) in [(None, 0), (None, 1), (None, 7), (Some(0.3), 0), (Some(0.3), 1000)] {
+            let bulk = Registry::new();
+            let seq = Registry::new();
+            if let Some(s) = start {
+                bulk.add("g", s);
+                seq.add("g", s);
+            }
+            bulk.add_n("g", 0.1, n);
+            for _ in 0..n {
+                seq.add("g", 0.1);
+            }
+            assert_eq!(bulk.snapshot(), seq.snapshot(), "start {start:?}, n {n}");
+            assert_eq!(bulk.gauge_value("g").to_bits(), seq.gauge_value("g").to_bits());
+        }
+        // n = 0 on a fresh registry creates nothing, like zero add calls.
+        let r = Registry::new();
+        r.add_n("g", 1.0, 0);
+        assert!(r.snapshot().is_empty());
+        // First insert keeps the sign of a negative zero, as `add` does.
+        r.add_n("z", -0.0, 1);
+        assert!(r.gauge_value("z").is_sign_negative());
+    }
+
+    #[test]
+    fn add_n_on_disabled_registry_is_inert() {
+        let r = Registry::new();
+        r.set_enabled(false);
+        r.add_n("g", 2.0, 5);
+        assert!(r.snapshot().is_empty());
     }
 
     #[test]
