@@ -203,6 +203,13 @@ impl RramAccelerator {
         &self.matmul
     }
 
+    /// Cost of one `n`-element softmax row on a single copy of this
+    /// design's softmax unit (replication divides the stage latency in
+    /// [`Accelerator::evaluate`], not here).
+    pub fn softmax_row_cost(&self, n: usize) -> star_crossbar::OpCost {
+        self.softmax.row_cost(n)
+    }
+
     /// Crossbar program cycles on the hottest cell per attention layer:
     /// designs that write intermediates (PipeLayer) reprogram the K/V and
     /// score arrays once per layer per inference; the others never write
@@ -438,6 +445,21 @@ mod tests {
         let one = RramAccelerator::star_with(QFormat::MRPC, 1).evaluate(&cfg());
         let eight = RramAccelerator::star_with(QFormat::MRPC, 8).evaluate(&cfg());
         assert!(eight.latency <= one.latency);
+    }
+
+    #[test]
+    fn softmax_row_cost_is_one_engine_copy() {
+        let star = RramAccelerator::star_with(QFormat::MRPC, 10);
+        let engine = StarSoftmax::new(StarSoftmaxConfig::new(QFormat::MRPC)).expect("builds");
+        let cmos = CmosBaselineSoftmax::new(3);
+        for n in [1usize, 64, 128, 512] {
+            assert_eq!(star.softmax_row_cost(n), engine.row_cost(n), "star n={n}");
+            assert_eq!(
+                RramAccelerator::retransformer().softmax_row_cost(n),
+                cmos.row_cost(n),
+                "cmos n={n}"
+            );
+        }
     }
 
     #[test]

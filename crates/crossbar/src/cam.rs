@@ -91,7 +91,9 @@ impl CamCrossbar {
         self.word_bits
     }
 
-    /// Programs a row with a bit pattern (complementary pair per bit).
+    /// Programs a row with a bit pattern (complementary pair per bit),
+    /// recording the row's `2 · word_bits` cell writes in one
+    /// `device.rram.writes` count.
     ///
     /// # Panics
     ///
@@ -100,9 +102,10 @@ impl CamCrossbar {
         assert!(row < self.geometry.rows(), "row {row} out of range");
         assert_eq!(bits.len(), self.word_bits, "pattern width mismatch");
         for (i, &b) in bits.iter().enumerate() {
-            self.cells[row][2 * i].program_ideal(u16::from(b));
-            self.cells[row][2 * i + 1].program_ideal(u16::from(!b));
+            self.cells[row][2 * i].set_level(u16::from(b));
+            self.cells[row][2 * i + 1].set_level(u16::from(!b));
         }
+        star_telemetry::count("device.rram.writes", 2 * bits.len() as u64);
     }
 
     /// The pattern a row *effectively* stores, reading through any stuck
@@ -273,6 +276,17 @@ mod tests {
         let tech = TechnologyParams::cmos32();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         CamCrossbar::new(rows, bits, &tech, NoiseModel::ideal(), &mut rng)
+    }
+
+    #[test]
+    fn store_row_counts_both_cells_of_every_bit() {
+        let mut c = cam(4, 3);
+        let ((), snap) = star_telemetry::with_scoped(|| {
+            c.store_row(0, &[true, false, true]);
+            c.store_row(3, &[false, false, false]);
+        });
+        assert_eq!(snap.counters["device.rram.writes"], 2 * 2 * 3);
+        assert_eq!(c.effective_row(0), vec![true, false, true]);
     }
 
     #[test]

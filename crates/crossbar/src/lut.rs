@@ -76,7 +76,8 @@ impl LutCrossbar {
 
     /// Programs a row with a word (LSB = column 0... stored MSB-first in
     /// column 0 for readability: bit `word_bits-1-j` of `word` lands in
-    /// column `j`).
+    /// column `j`), recording the row's `word_bits` cell writes in one
+    /// `device.rram.writes` count.
     ///
     /// # Panics
     ///
@@ -91,8 +92,9 @@ impl LutCrossbar {
         );
         for j in 0..self.word_bits {
             let bit = (word >> (self.word_bits - 1 - j)) & 1 == 1;
-            self.cells[row][j].program_ideal(u16::from(bit));
+            self.cells[row][j].set_level(u16::from(bit));
         }
+        star_telemetry::count("device.rram.writes", self.word_bits as u64);
     }
 
     /// Reads one row (the one-hot driven lookup), recording its cost.
@@ -191,6 +193,16 @@ mod tests {
         let tech = TechnologyParams::cmos32();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         LutCrossbar::new(rows, bits, &tech, NoiseModel::ideal(), &mut rng)
+    }
+
+    #[test]
+    fn store_word_counts_every_cell_of_the_row() {
+        let mut l = lut(4, 6);
+        let ((), snap) = star_telemetry::with_scoped(|| {
+            l.store_word(1, 0b10_1101);
+            l.store_word(2, 0);
+        });
+        assert_eq!(snap.counters["device.rram.writes"], 2 * 6);
     }
 
     #[test]

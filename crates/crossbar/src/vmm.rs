@@ -209,7 +209,8 @@ impl VmmCrossbar {
     }
 
     /// Programs the full weight matrix (`weights[row][col]`, unsigned
-    /// codes).
+    /// codes), recording every physical cell written in one
+    /// `device.rram.writes` count.
     ///
     /// # Panics
     ///
@@ -226,10 +227,11 @@ impl VmmCrossbar {
                 for s in 0..self.slices {
                     let shift = self.bits_per_cell as usize * (self.slices - 1 - s);
                     let digit = (w >> shift) & digit_mask;
-                    self.cells[r][c * self.slices + s].program_ideal(digit as u16);
+                    self.cells[r][c * self.slices + s].set_level(digit as u16);
                 }
             }
         }
+        star_telemetry::count("device.rram.writes", (self.rows * self.cols * self.slices) as u64);
     }
 
     /// The weight code a logical cell *effectively* stores (through
@@ -488,6 +490,19 @@ mod tests {
         let tech = TechnologyParams::cmos32();
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         VmmCrossbar::new(rows, cols, wbits, readout, &tech, NoiseModel::ideal(), &mut rng)
+    }
+
+    #[test]
+    fn store_weights_counts_every_physical_cell() {
+        let tech = TechnologyParams::cmos32();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        // 5-bit weights on 2-bit cells: three slices per logical cell.
+        let mut x =
+            VmmCrossbar::with_mlc(3, 2, 5, 2, Readout::Ideal, &tech, NoiseModel::ideal(), &mut rng);
+        let weights = vec![vec![31, 0], vec![7, 16], vec![1, 2]];
+        let ((), snap) = star_telemetry::with_scoped(|| x.store_weights(&weights));
+        assert_eq!(snap.counters["device.rram.writes"], 3 * 2 * 3);
+        assert_eq!(x.effective_weight(1, 1), 16);
     }
 
     #[test]

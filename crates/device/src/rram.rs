@@ -87,6 +87,18 @@ impl RramCell {
     /// Panics if `level >= levels`.
     pub fn program_ideal(&mut self, level: u16) {
         star_telemetry::count("device.rram.writes", 1);
+        self.set_level(level);
+    }
+
+    /// Programs the cell to `level` with no variation, like
+    /// [`RramCell::program_ideal`], but records no `device.rram.writes`.
+    /// Arrays that program many cells at once use it and record the
+    /// write count once for the whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= levels`.
+    pub fn set_level(&mut self, level: u16) {
         self.conductance = self.target_conductance(level);
         self.level = level;
     }
@@ -182,6 +194,26 @@ mod tests {
             prev = g;
         }
         assert!((c.target_conductance(15) - t.g_lrs()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn set_level_programs_like_program_ideal_without_counting() {
+        let t = tech();
+        for level in 0..4 {
+            let (counted, with_count) = star_telemetry::with_scoped(|| {
+                let mut c = RramCell::new(4, &t);
+                c.program_ideal(level);
+                c
+            });
+            let (silent, without) = star_telemetry::with_scoped(|| {
+                let mut c = RramCell::new(4, &t);
+                c.set_level(level);
+                c
+            });
+            assert_eq!(counted, silent, "level {level}");
+            assert_eq!(with_count.counters["device.rram.writes"], 1);
+            assert!(without.is_empty());
+        }
     }
 
     #[test]

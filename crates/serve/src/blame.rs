@@ -959,14 +959,19 @@ impl WhatIfReport {
 /// workload and ranks the outcomes by Δp99. Deterministic end to end:
 /// each run is an ordinary simulation, so the table is bitwise
 /// reproducible at any shard/thread count.
+///
+/// The baseline's service models are built once. No intervention
+/// changes an engine config (a heterogeneous fleet's extra instance
+/// copies an existing one), so every run starts from a clone of them.
 pub fn run_what_ifs(cfg: &ServeConfig, shards: usize, interventions: &[WhatIf]) -> WhatIfReport {
-    let base = simulate_scaled(cfg, shards, None);
+    let services = cfg.service_models();
+    let base = simulate_scaled(cfg, shards, &services, None);
     let baseline = WhatIfRow::from_report("baseline".to_string(), &base, &base);
     let mut rows: Vec<WhatIfRow> = interventions
         .iter()
         .map(|w| {
             let (wcfg, scale) = w.apply(cfg);
-            let r = simulate_scaled(&wcfg, shards, scale);
+            let r = simulate_scaled(&wcfg, shards, &services, scale);
             WhatIfRow::from_report(w.label(), &r, &base)
         })
         .collect();
@@ -1144,6 +1149,34 @@ mod tests {
         let text = report.render();
         assert!(text.contains("baseline"), "{text}");
         assert!(text.contains("+1 instance"), "{text}");
+    }
+
+    #[test]
+    fn shared_models_change_no_what_if_row() {
+        // A heterogeneous q5.3/q3.5 fleet: the menu's one model build
+        // must serve runs that would otherwise each build their own.
+        let mut cfg = ServeConfig::example();
+        cfg.arrival = crate::arrival::ArrivalProcess::poisson(60_000.0);
+        let q35 = crate::model::ServiceModelConfig { format: (3, 5), ..Default::default() };
+        cfg.control.instance_services = vec![Default::default(), q35];
+        let mut menu = WhatIf::standard();
+        menu.push(WhatIf::Placement(PlacementPolicy::EnergyGreedy));
+        let report = run_what_ifs(&cfg, 1, &menu);
+        let base = simulate(&cfg);
+        assert_eq!(report.baseline, WhatIfRow::from_report("baseline".into(), &base, &base));
+        for w in &menu {
+            let (wcfg, scale) = w.apply(&cfg);
+            let fresh = match w {
+                // A freshly built model with the phase scaled.
+                WhatIf::ScalePhase(_) => {
+                    crate::sim::simulate_scaled(&wcfg, 1, &wcfg.service_models(), scale)
+                }
+                _ => simulate(&wcfg),
+            };
+            let want = WhatIfRow::from_report(w.label(), &fresh, &base);
+            let got = report.interventions.iter().find(|r| r.label == want.label);
+            assert_eq!(got, Some(&want), "{}", want.label);
+        }
     }
 
     #[test]

@@ -25,11 +25,8 @@
 
 use crate::request::RequestClass;
 use serde::{Deserialize, Serialize};
-use star_arch::{Accelerator, MatMulEngine, MatMulEngineConfig, RramAccelerator};
-use star_core::{
-    attention_pipeline_latency, PipelineMode, RowStageLatency, SoftmaxEngine, StarSoftmax,
-    StarSoftmaxConfig,
-};
+use star_arch::{Accelerator, RramAccelerator};
+use star_core::{attention_pipeline_latency, PipelineMode, RowStageLatency};
 use star_fixed::QFormat;
 use std::collections::BTreeMap;
 
@@ -219,23 +216,18 @@ impl ServiceModel {
             config.invoke_overhead_ns.is_finite() && config.invoke_overhead_ns >= 0.0,
             "invocation overhead must be finite and non-negative"
         );
-        let format = config.qformat();
-        let engine =
-            StarSoftmax::new(StarSoftmaxConfig::new(format)).expect("paper formats build engines");
-        let matmul = MatMulEngine::new(MatMulEngineConfig::paper());
-        let accelerator = RramAccelerator::star_with(format, config.softmax_units);
+        // One accelerator build, one STAR engine: the per-class row costs
+        // come from the same engine and MatMul model `evaluate` uses.
+        let accelerator = RramAccelerator::star_with(config.qformat(), config.softmax_units);
         let mut map = BTreeMap::new();
         for &class in classes {
-            map.entry(class).or_insert_with(|| {
-                Self::class_service(&engine, &matmul, &accelerator, class, config.softmax_units)
-            });
+            map.entry(class)
+                .or_insert_with(|| Self::class_service(&accelerator, class, config.softmax_units));
         }
         ServiceModel { config, classes: map }
     }
 
     fn class_service(
-        engine: &StarSoftmax,
-        matmul: &MatMulEngine,
         accelerator: &RramAccelerator,
         class: RequestClass,
         units: usize,
@@ -244,9 +236,10 @@ impl ServiceModel {
         let n = cfg.seq_len;
         let dh = cfg.d_head();
         let d = cfg.d_model;
+        let matmul = accelerator.matmul_engine();
         let qk = matmul.row_cost(dh, n);
         let av = matmul.row_cost(n, dh);
-        let sm = engine.row_cost(n);
+        let sm = accelerator.softmax_row_cost(n);
         let stages =
             RowStageLatency::new(qk.latency, sm.latency * (1.0 / units as f64), av.latency);
         let proj = matmul.gemm_cost(n, d, d).repeat(4);

@@ -118,6 +118,40 @@ impl ServeConfig {
         assert!(self.horizon_ns.is_finite() && self.horizon_ns > 0.0, "horizon must be positive");
         self.control.validate(self.fleet);
     }
+
+    /// The fleet's distinct service-model configurations in first-use
+    /// order, plus each instance slot's index into them. A homogeneous
+    /// fleet has one entry; a heterogeneous one dedupes, since building a
+    /// [`ServiceModel`] is the expensive part (a two-format q5.3/q3.5
+    /// fleet builds two models, not one per instance).
+    fn model_slots(&self) -> (Vec<ServiceModelConfig>, Vec<usize>) {
+        let capacity = self.control.capacity(self.fleet);
+        if self.control.instance_services.is_empty() {
+            return (vec![self.service.clone()], vec![0; capacity]);
+        }
+        let mut distinct: Vec<ServiceModelConfig> = Vec::new();
+        let mut model_of = Vec::with_capacity(capacity);
+        for svc in &self.control.instance_services {
+            let idx = match distinct.iter().position(|c| c == svc) {
+                Some(idx) => idx,
+                None => {
+                    distinct.push(svc.clone());
+                    distinct.len() - 1
+                }
+            };
+            model_of.push(idx);
+        }
+        (distinct, model_of)
+    }
+
+    /// Builds the fleet's distinct service models, in the order
+    /// [`simulate_scaled`] takes them. Configs that differ only in batch
+    /// window, fleet size (heterogeneous fleets adding a copy of an
+    /// existing engine) or placement share these models.
+    pub fn service_models(&self) -> Vec<ServiceModel> {
+        let classes = self.mix.classes();
+        self.model_slots().0.into_iter().map(|c| ServiceModel::new(c, &classes)).collect()
+    }
 }
 
 /// One dispatched invocation in flight.
@@ -180,18 +214,31 @@ impl Ord for Event {
     }
 }
 
-/// Telemetry facade sink. Identical registry effects to calling
-/// `star_telemetry` directly, plus one deterministic op-count bump per
-/// call when profiling — folded into `WorkCounters::telemetry_ops` at
-/// finalize. Lives in its own field so the hot path can call it while
-/// the cached metric-name table is borrowed.
+/// Telemetry facade sink. A run leaves the same registry state as
+/// calling `star_telemetry` directly, plus one deterministic op-count
+/// bump per call when profiling — folded into
+/// `WorkCounters::telemetry_ops` at finalize. Lives in its own field so
+/// the hot path can call it while the cached metric-name table is
+/// borrowed.
+///
+/// Counters stay in a per-run table and reach the active registry once,
+/// in [`TelSink::flush`] at finalize: integer addition makes the fold
+/// exact, and a `count(name, 0)` still creates its counter. Gauge and
+/// histogram recordings go to the registry per call, because their f64
+/// sums depend on the order of additions.
 #[derive(Debug)]
 struct TelSink {
     profiled: bool,
     ops: u64,
+    /// Per-run counter totals, in first-use order (a handful of names).
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl TelSink {
+    fn new(profiled: bool) -> Self {
+        TelSink { profiled, ops: 0, counters: Vec::new() }
+    }
+
     #[inline]
     fn bump(&mut self) {
         if self.profiled {
@@ -199,9 +246,19 @@ impl TelSink {
         }
     }
 
-    fn count(&mut self, name: &str, n: u64) {
+    fn count(&mut self, name: &'static str, n: u64) {
         self.bump();
-        star_telemetry::count(name, n);
+        match self.counters.iter_mut().find(|(k, _)| *k == name) {
+            Some((_, total)) => *total += n,
+            None => self.counters.push((name, n)),
+        }
+    }
+
+    /// Folds the run's counters into the active registry.
+    fn flush(&mut self) {
+        for (name, n) in self.counters.drain(..) {
+            star_telemetry::count(name, n);
+        }
     }
 
     fn add(&mut self, name: &str, v: f64) {
@@ -310,9 +367,12 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
+    /// `services` are the fleet's distinct models in
+    /// [`ServeConfig::service_models`] order; `None` builds them.
     #[allow(clippy::too_many_arguments)] // one flag per optional observer
     fn new(
         cfg: &'a ServeConfig,
+        services: Option<Vec<ServiceModel>>,
         traced: bool,
         health: Option<&HealthConfig>,
         profiled: bool,
@@ -325,26 +385,16 @@ impl<'a> Sim<'a> {
         let classes = cfg.mix.classes();
         let capacity = cfg.control.capacity(cfg.fleet);
         let initial_active = cfg.control.initial_active(cfg.fleet);
-        // Dedupe per-instance engine configs into distinct service
-        // models (model construction is the expensive part — a
-        // two-format q5.3/q3.5 fleet builds two models, not `capacity`).
-        let (services, model_of) = if cfg.control.instance_services.is_empty() {
-            (vec![ServiceModel::new(cfg.service.clone(), &classes)], vec![0; capacity])
-        } else {
-            let mut distinct: Vec<ServiceModelConfig> = Vec::new();
-            let mut model_of = Vec::with_capacity(capacity);
-            for svc in &cfg.control.instance_services {
-                let idx = match distinct.iter().position(|c| c == svc) {
-                    Some(idx) => idx,
-                    None => {
-                        distinct.push(svc.clone());
-                        distinct.len() - 1
-                    }
-                };
-                model_of.push(idx);
+        let (distinct, model_of) = cfg.model_slots();
+        let services = match services {
+            Some(services) => {
+                assert!(
+                    services.iter().map(ServiceModel::config).eq(&distinct),
+                    "service models do not match the fleet's engine configs"
+                );
+                services
             }
-            let services = distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect();
-            (services, model_of)
+            None => distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect(),
         };
         let layout = ShardLayout::new(shards, &classes);
         let flight = flight.map(|fc| {
@@ -404,7 +454,7 @@ impl<'a> Sim<'a> {
             attained_ns,
             scaler,
             class_names,
-            tel: TelSink { profiled, ops: 0 },
+            tel: TelSink::new(profiled),
             arrivals: 0,
             rejected: 0,
             expired: 0,
@@ -1340,6 +1390,7 @@ impl<'a> Sim<'a> {
             }
             health_report
         });
+        self.tel.flush();
         let tel_ops = self.tel.ops;
         let profile = self.profile.take().map(|mut p| {
             p.work.telemetry_ops = tel_ops;
@@ -1398,7 +1449,7 @@ pub struct SimOutcome {
 /// horizon, or queue bound; unknown classes).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, false, shards_from_env(), &exec).run().report
+    Sim::new(cfg, None, false, None, false, None, false, shards_from_env(), &exec).run().report
 }
 
 /// Like [`simulate`] with an explicit event-queue shard count, clamped
@@ -1412,7 +1463,7 @@ pub fn simulate(cfg: &ServeConfig) -> ServeReport {
 /// layout.
 pub fn simulate_sharded(cfg: &ServeConfig, shards: usize) -> ServeReport {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, false, shards, &exec).run().report
+    Sim::new(cfg, None, false, None, false, None, false, shards, &exec).run().report
 }
 
 /// The fully general sharded entry point: explicit shard count plus any
@@ -1428,7 +1479,7 @@ pub fn simulate_sharded_with(
     profiled: bool,
 ) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, profiled, None, false, shards, &exec).run()
+    Sim::new(cfg, None, traced, health, profiled, None, false, shards, &exec).run()
 }
 
 /// [`simulate_sharded_with`] on a caller-supplied executor — the hook
@@ -1442,7 +1493,7 @@ pub fn simulate_sharded_on(
     profiled: bool,
     exec: &Executor,
 ) -> SimOutcome {
-    Sim::new(cfg, traced, health, profiled, None, false, shards, exec).run()
+    Sim::new(cfg, None, traced, health, profiled, None, false, shards, exec).run()
 }
 
 /// Like [`simulate`], but also collects per-request records and the full
@@ -1452,7 +1503,7 @@ pub fn simulate_sharded_on(
 /// arithmetic.
 pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, true, None, false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, true, None, false, None, false, shards_from_env(), &exec).run()
 }
 
 /// Like [`simulate`], with the device-health monitor attached: wear
@@ -1464,7 +1515,7 @@ pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
 /// and perturbs no event arithmetic — a test pins this).
 pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, Some(health), false, None, false, shards_from_env(), &exec).run()
 }
 
 /// [`simulate_traced`] plus the device-health monitor: the trace also
@@ -1473,7 +1524,7 @@ pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcom
 /// export).
 pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, true, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, true, Some(health), false, None, false, shards_from_env(), &exec).run()
 }
 
 /// Like [`simulate`], with the simulator's self-profiler attached: the
@@ -1484,7 +1535,7 @@ pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> Si
 /// (a test pins this).
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, true, None, false, shards_from_env(), &exec).run()
 }
 
 /// The fully general entry point: any combination of tracing, health
@@ -1497,7 +1548,7 @@ pub fn simulate_profiled_with(
     health: Option<&HealthConfig>,
 ) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, traced, health, true, None, false, shards_from_env(), &exec).run()
 }
 
 /// Like [`simulate`], with the incident flight recorder attached: the
@@ -1509,7 +1560,7 @@ pub fn simulate_profiled_with(
 /// `flight_equivalence` suite pins both).
 pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, Some(flight), false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, false, Some(flight), false, shards_from_env(), &exec).run()
 }
 
 /// Like [`simulate`], with the critical-path blame recorder attached:
@@ -1521,27 +1572,37 @@ pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
 /// count (the `blame_equivalence` suite pins both).
 pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, true, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, false, None, true, shards_from_env(), &exec).run()
 }
 
 /// [`simulate_blamed`] with an explicit event-queue shard count.
 pub fn simulate_blamed_sharded(cfg: &ServeConfig, shards: usize) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, true, shards, &exec).run()
+    Sim::new(cfg, None, false, None, false, None, true, shards, &exec).run()
 }
 
-/// Runs the simulation with one service phase's latency lever scaled —
-/// the what-if engine's counterfactual hook (see [`crate::blame`]).
-/// The scaling is applied to the constructed service models, not the
+/// Runs the simulation on prebuilt service models, with one service
+/// phase's latency lever optionally scaled — the what-if engine's
+/// counterfactual hook (see [`crate::blame`]). `services` are the
+/// fleet's distinct models as [`ServeConfig::service_models`] builds
+/// them; the run scales a clone, so one build serves a whole menu of
+/// interventions. The scaling is applied to the models, not the
 /// configuration, so intervention runs never perturb config
 /// serialization; `scale = None` is exactly [`simulate_sharded`].
+///
+/// # Panics
+///
+/// Panics if `services` are not the models of `cfg`'s fleet, or on
+/// invalid configuration (see [`simulate`]).
 pub fn simulate_scaled(
     cfg: &ServeConfig,
     shards: usize,
+    services: &[ServiceModel],
     scale: Option<(ServicePhase, f64)>,
 ) -> ServeReport {
     let exec = Executor::from_env();
-    let mut sim = Sim::new(cfg, false, None, false, None, false, shards, &exec);
+    let mut sim =
+        Sim::new(cfg, Some(services.to_vec()), false, None, false, None, false, shards, &exec);
     if let Some((phase, factor)) = scale {
         for s in &mut sim.services {
             s.scale_phase(phase, factor);
@@ -1565,7 +1626,7 @@ pub fn simulate_full(
     blamed: bool,
 ) -> SimOutcome {
     let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, profiled, flight, blamed, shards, &exec).run()
+    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards, &exec).run()
 }
 
 /// [`simulate_full`] on a caller-supplied executor — the hook the
@@ -1582,7 +1643,7 @@ pub fn simulate_full_on(
     blamed: bool,
     exec: &Executor,
 ) -> SimOutcome {
-    Sim::new(cfg, traced, health, profiled, flight, blamed, shards, exec).run()
+    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards, exec).run()
 }
 
 #[cfg(test)]
@@ -1740,13 +1801,61 @@ mod tests {
 
     #[test]
     fn telemetry_records_request_lifecycle() {
+        // The overloaded point rejects, expires and completes late, so
+        // every counter of the per-run table is exercised.
+        let mut overloaded = ServeConfig::example();
+        overloaded.arrival = ArrivalProcess::poisson(400_000.0);
+        overloaded.max_queue = 64;
+        overloaded.deadline_ns = 1.2e5;
+        for (cfg, overloaded) in [(ServeConfig::example(), false), (overloaded, true)] {
+            let (r, snap) = star_telemetry::with_scoped(|| simulate(&cfg));
+            assert!(!overloaded || (r.rejected > 0 && r.expired > 0 && r.late > 0), "{r:?}");
+            let counts = [
+                ("serve.requests.arrived", r.arrivals),
+                ("serve.requests.rejected", r.rejected),
+                ("serve.requests.admitted", r.arrivals - r.rejected),
+                ("serve.requests.expired", r.expired),
+                ("serve.requests.completed", r.completed),
+                ("serve.requests.late", r.late),
+                ("serve.batches.dispatched", r.batches),
+            ];
+            // Each counter exists iff something was counted into it.
+            for (name, n) in counts {
+                assert_eq!(snap.counters.get(name), (n > 0).then_some(&n), "{name}");
+            }
+            let serve_counters = snap.counters.keys().filter(|k| k.starts_with("serve."));
+            assert_eq!(serve_counters.count(), counts.iter().filter(|(_, n)| *n > 0).count());
+            assert_eq!(snap.histograms["serve.latency_us"].total, r.completed);
+            assert!(snap.gauges["serve.energy.total_pj"] > 0.0);
+        }
+    }
+
+    #[test]
+    fn tel_sink_folds_counters_once_and_keeps_zero_counts() {
+        let (ops, snap) = star_telemetry::with_scoped(|| {
+            let mut tel = TelSink::new(true);
+            tel.count("t.zero", 0);
+            tel.count("t.sum", 2);
+            tel.count("t.sum", 3);
+            // Nothing reaches the registry before the flush.
+            assert!(star_telemetry::snapshot().is_empty());
+            tel.flush();
+            tel.ops
+        });
+        // One logical recording per call, as `telemetry_ops` counts them.
+        assert_eq!(ops, 3);
+        assert_eq!(snap.counters.len(), 2);
+        assert_eq!(snap.counters["t.zero"], 0);
+        assert_eq!(snap.counters["t.sum"], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not match")]
+    fn scaled_run_rejects_another_fleets_models() {
         let cfg = ServeConfig::example();
-        let (report, snap) = star_telemetry::with_scoped(|| simulate(&cfg));
-        assert_eq!(snap.counters["serve.requests.arrived"], report.arrivals);
-        assert_eq!(snap.counters["serve.requests.completed"], report.completed);
-        assert_eq!(snap.counters["serve.batches.dispatched"], report.batches);
-        assert_eq!(snap.histograms["serve.latency_us"].total, report.completed);
-        assert!(snap.gauges["serve.energy.total_pj"] > 0.0);
+        let mut q35 = cfg.clone();
+        q35.service.format = (3, 5);
+        let _ = simulate_scaled(&q35, 1, &cfg.service_models(), None);
     }
 
     #[test]

@@ -319,11 +319,16 @@ impl Registry {
             return;
         }
         let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        // Look up before inserting: the name is allocated only when the
+        // histogram is created, not on every observation.
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(value);
+                inner.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Read one counter (0 when absent).
@@ -681,6 +686,21 @@ mod tests {
         assert_eq!(h.total, 3);
         assert_eq!(*h.counts.last().unwrap(), 1, "5e7 overflows");
         assert!((h.mean() - (0.5 + 5.0 + 5e7) / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn observe_with_keeps_an_existing_histograms_bounds() {
+        let r = Registry::new();
+        r.observe_with("h", 1.5, &[1.0, 2.0]);
+        // Later bounds are ignored once the histogram exists.
+        r.observe_with("h", 3.0, &[10.0, 20.0, 30.0]);
+        r.observe("h", 0.5);
+        let want =
+            HistogramSnapshot { bounds: vec![1.0, 2.0], counts: vec![1, 1, 1], total: 3, sum: 5.0 };
+        let snap = r.snapshot();
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms["h"], want);
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
     }
 
     #[test]

@@ -1538,6 +1538,19 @@ mod tests {
     }
 
     #[test]
+    fn trace_analyze_rejects_deep_nesting() {
+        // 200k unclosed brackets used to overflow the parser's stack and
+        // abort the process; the nesting cap turns them into an error.
+        let hostile = "[".repeat(200_000);
+        let path = std::env::temp_dir().join(format!("star_cli_deep_{}.json", std::process::id()));
+        std::fs::write(&path, &hostile).expect("write hostile trace");
+        let err = cmd_trace_analyze(&[path.to_str().expect("utf8").to_string()])
+            .expect_err("deep nesting rejected");
+        assert!(err.contains("nesting"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn serve_flight_dump_round_trips_through_both_analyzers() {
         // The 80k rps single-instance point saturates the queue, so the
         // default triggers fire deterministically and a dump is written.
