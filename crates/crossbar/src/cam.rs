@@ -177,7 +177,8 @@ impl CamCrossbar {
         let cost = self.search_cost();
         self.ledger.record_n(cost, n);
         star_telemetry::count("crossbar.cam.searches", n);
-        star_telemetry::add_n("crossbar.cam.energy_pj", cost.energy.value(), n);
+        let energy = cost.energy.value();
+        star_telemetry::add_all("crossbar.cam.energy_pj", (0..n).map(|_| energy));
     }
 
     /// Energy/latency of one parallel search cycle.

@@ -223,7 +223,8 @@ impl CamSubCrossbar {
         let sub = self.subtract_cost();
         self.ledger.record_n(sub, n);
         star_telemetry::count("crossbar.camsub.subtracts", n);
-        star_telemetry::add_n("crossbar.camsub.energy_pj", sub.energy.value(), n);
+        let energy = sub.energy.value();
+        star_telemetry::add_all("crossbar.camsub.energy_pj", (0..n).map(|_| energy));
     }
 
     /// Like [`CamSubCrossbar::subtract`], additionally applying per-bitline

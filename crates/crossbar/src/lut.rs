@@ -128,7 +128,8 @@ impl LutCrossbar {
         let cost = self.read_cost();
         self.ledger.record_n(cost, n);
         star_telemetry::count("crossbar.lut.reads", n);
-        star_telemetry::add_n("crossbar.lut.energy_pj", cost.energy.value(), n);
+        let energy = cost.energy.value();
+        star_telemetry::add_all("crossbar.lut.energy_pj", (0..n).map(|_| energy));
     }
 
     /// Reads the row selected by a one-hot drive vector.

@@ -32,17 +32,18 @@
 //! One simulation is **bitwise replayable**: all randomness flows from a
 //! single `ChaCha8Rng` seeded by [`ServeConfig::seed`] and consumed in
 //! event order, events are totally ordered by `(time, sequence)`, and
-//! every collection iterates deterministically. Event *storage* shards
-//! across per-shard heaps (`STAR_SERVE_SHARDS`, or [`simulate_sharded`])
-//! behind a deterministic min-of-heads merge that reproduces the
-//! single-heap pop order exactly, so the shard count changes no output
-//! byte — the `shard_equivalence` differential suite pins reports,
-//! traces, health ledgers, and work counters across shard × thread
-//! grids. Execution parallelism stays at the boundaries: open-loop
-//! seeding builds per-shard heaps on `star-exec` workers, and sweeps
-//! parallelize *across* simulations via [`star_exec::Executor`], whose
-//! index-ordered reduction (plus the scoped-telemetry absorb protocol)
-//! keeps the full sweep output byte-identical for any worker count.
+//! every collection iterates deterministically. Open-loop arrivals are
+//! read from their materialized trace through a cursor; the events the
+//! loop creates live in a heap whose storage shards across per-shard
+//! heaps (`STAR_SERVE_SHARDS`, or [`simulate_sharded`]) behind a
+//! deterministic min-of-heads merge that reproduces the single-heap pop
+//! order exactly, so the shard count changes no output byte — the
+//! `shard_equivalence` differential suite pins reports, traces, health
+//! ledgers, and work counters across shard counts. One simulation runs
+//! on one thread; sweeps parallelize *across* simulations via
+//! [`star_exec::Executor`], whose index-ordered reduction (plus the
+//! scoped-telemetry absorb protocol) keeps the full sweep output
+//! byte-identical for any worker count.
 //!
 //! # Example
 //!
@@ -103,9 +104,9 @@ pub use request::{ModelKind, Request, RequestClass, RequestRecord};
 pub use shard::{shards_from_env, ShardLayout, ShardedQueue, MAX_SHARDS, SHARDS_ENV};
 pub use sim::{
     simulate, simulate_blamed, simulate_blamed_sharded, simulate_flight, simulate_full,
-    simulate_full_on, simulate_monitored, simulate_profiled, simulate_profiled_with,
-    simulate_scaled, simulate_sharded, simulate_sharded_on, simulate_sharded_with, simulate_traced,
-    simulate_traced_monitored, ServeConfig, SimOutcome,
+    simulate_monitored, simulate_profiled, simulate_profiled_with, simulate_scaled,
+    simulate_sharded, simulate_sharded_with, simulate_traced, simulate_traced_monitored,
+    ServeConfig, SimOutcome,
 };
 pub use slo::{
     BurnSweep, BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis,

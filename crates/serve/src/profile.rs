@@ -143,7 +143,7 @@ impl Pow2Hist {
 /// without schema coupling.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WorkCounters {
-    /// Events popped from the heap, total.
+    /// Events processed, total (from the arrival cursor and the heap).
     pub events_total: u64,
     /// `Arrive` events processed.
     pub events_arrive: u64,
@@ -153,13 +153,17 @@ pub struct WorkCounters {
     pub events_instance_free: u64,
     /// `ScaleCheck` events processed (0 without an autoscaler).
     pub events_scale_check: u64,
-    /// Events pushed onto the heap (arrivals seeded + windows armed +
-    /// invocations scheduled).
+    /// Events pushed onto the heap (windows armed + invocations
+    /// scheduled + scale checks + closed-loop arrivals). Open-loop
+    /// arrivals come from the arrival cursor and never touch the heap.
     pub heap_pushes: u64,
-    /// Events popped off the heap (equals `events_total`; kept separate
-    /// so the push/pop conservation identity is checkable, not assumed).
+    /// Events popped off the heap (equals `heap_pushes` after a drain;
+    /// kept separate so the push/pop conservation identity is
+    /// checkable, not assumed).
     pub heap_pops: u64,
-    /// Largest heap length observed after any push.
+    /// Largest heap length observed after any push. With open-loop
+    /// arrivals at most one completion per instance, one window timer
+    /// per class and one scale check.
     pub heap_peak: u64,
     /// Calls into the greedy dispatcher (`try_dispatch`).
     pub dispatch_rounds: u64,
@@ -186,13 +190,15 @@ pub struct WorkCounters {
     pub batch_members: u64,
     /// Requests dropped at dispatch because their deadline lapsed queued.
     pub expired_drops: u64,
-    /// Telemetry facade calls issued by the event loop (count / add /
-    /// observe sites in `sim.rs`; the health monitor's internal telemetry
-    /// is not included).
+    /// Telemetry recordings issued by the event loop (count / add /
+    /// observe sites in `sim.rs`, including the gauge and histogram
+    /// values replayed at finalize; the health monitor's internal
+    /// telemetry is not included).
     pub telemetry_ops: u64,
     /// Queued-request total observed after each event.
     pub queue_depth_hist: Pow2Hist,
-    /// Heap length (event backlog) observed after each event.
+    /// Heap length (pending loop-created events) observed after each
+    /// event.
     pub backlog_hist: Pow2Hist,
 }
 

@@ -14,6 +14,13 @@
 //! byte-identical at any `STAR_SERVE_SHARDS` (the differential suite in
 //! `tests/shard_equivalence.rs` pins this).
 //!
+//! Open-loop arrivals never enter these heaps: the event loop reads them
+//! from the materialized arrival trace through a cursor and merges its
+//! head with [`ShardedQueue::peek`] under the same order. The heaps hold
+//! only the events the loop creates as it runs (instance-free
+//! completions, window timers, scale checks, closed-loop arrivals), so
+//! they stay a few entries deep whatever the run's length.
+//!
 //! # Epochs and barriers
 //!
 //! Each pop is a lockstep barrier: all shards synchronize on the global
@@ -23,22 +30,20 @@
 //! *every* event — the idle set (an `InstanceFree` on one shard can
 //! dispatch work queued by another), the admission bound (`queued_total`
 //! gates rejects globally), and the single event-sequence counter. The
-//! determinism argument in DESIGN.md spells this out; the payoff of the
-//! sharded layout is smaller per-heap sift cost and a seeding phase that
-//! fans out across `star-exec` workers (each shard's initial heap is a
-//! pure function of the arrival trace and the layout, so the build
-//! parallelizes without affecting a single output byte).
+//! determinism argument in DESIGN.md spells this out. Sharding is
+//! therefore pure storage: it buys nothing in parallelism, and whether
+//! it earns its keep is a measured question (`serve.sharded_ratio`).
 //!
 //! The module also houses [`ReadyIndex`], the dispatcher's ready-queue
-//! index that replaces the per-class linear scan the self-profiler
-//! flagged in `dispatch_scans` (PR 6): class readiness is maintained
-//! incrementally at the points where it can change, so each dispatch
-//! iteration is an `O(log c)` indexed pop instead of an `O(c)` sweep.
+//! index that replaces the per-class linear queue scan the self-profiler
+//! flagged in `dispatch_scans`: class readiness is maintained
+//! incrementally at the points where it can change, in one dense slot per
+//! class, so each dispatch iteration reads the slots instead of sweeping
+//! every class queue.
 
 use crate::request::RequestClass;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Environment variable selecting the event-queue shard count for the
 /// `simulate*` entry points (`1` = the serial single-heap layout).
@@ -67,8 +72,7 @@ pub fn shards_from_env() -> usize {
 ///
 /// Instances, request ids, and request classes each map to a shard by
 /// residue, so an event's shard is a pure function of the event itself —
-/// independent of processing history, which is what lets the seeding
-/// phase build per-shard heaps in parallel.
+/// independent of processing history.
 #[derive(Debug, Clone)]
 pub struct ShardLayout {
     shards: usize,
@@ -185,22 +189,14 @@ impl<T: Ord> ShardedQueue<T> {
         self.len += 1;
     }
 
-    /// Bulk-loads `items` into shard `shard` — the seeding path, where
-    /// per-shard item sets are built in parallel and installed here.
-    pub fn fill_shard(&mut self, shard: usize, items: Vec<T>) {
-        self.pushes[shard] += items.len() as u64;
-        self.len += items.len();
-        let heap = &mut self.heaps[shard];
-        for item in items {
-            heap.push(Reverse(item));
-        }
+    /// The globally smallest item, without removing it (ties resolve as in
+    /// [`ShardedQueue::pop`]).
+    pub fn peek(&self) -> Option<&T> {
+        self.min_head().map(|(_, head)| head)
     }
 
-    /// Removes and returns the globally smallest item along with the
-    /// shard it lived on, or `None` when the queue is empty. Ties on the
-    /// full `Ord` key resolve to the lowest shard index — the explicit,
-    /// tested tie-break of the cross-shard merge.
-    pub fn pop(&mut self) -> Option<(usize, T)> {
+    /// The shard holding the globally smallest head, and that head.
+    fn min_head(&self) -> Option<(usize, &T)> {
         let mut best: Option<(usize, &T)> = None;
         for (i, heap) in self.heaps.iter().enumerate() {
             if let Some(Reverse(head)) = heap.peek() {
@@ -209,7 +205,15 @@ impl<T: Ord> ShardedQueue<T> {
                 }
             }
         }
-        let shard = best?.0;
+        best
+    }
+
+    /// Removes and returns the globally smallest item along with the
+    /// shard it lived on, or `None` when the queue is empty. Ties on the
+    /// full `Ord` key resolve to the lowest shard index — the explicit,
+    /// tested tie-break of the cross-shard merge.
+    pub fn pop(&mut self) -> Option<(usize, T)> {
+        let shard = self.min_head()?.0;
         let Reverse(item) = self.heaps[shard].pop().expect("peeked head exists");
         self.pops[shard] += 1;
         self.len -= 1;
@@ -232,25 +236,38 @@ impl<T: Ord> ShardedQueue<T> {
 /// evaluating it at those points reproduces the serial scan's decisions
 /// — and therefore its event stream — exactly.
 ///
-/// Ready classes are ordered by `(head arrival time, head request id)`,
-/// the serial scan's selection key. Arrival times are non-negative finite,
-/// so their IEEE-754 bit patterns order identically to their values and
-/// the key can live in a `BTreeSet` of integers.
-#[derive(Debug, Default)]
+/// Classes are addressed by their rank in class order, and the index is
+/// one [`Slot`] per rank. Ready classes are ordered by their key — the
+/// dequeue policy's `(value bits, head request id)` — with ties (which
+/// unique ids rule out) going to the lower rank; flagged classes are
+/// swept in rank order. A class mix holds a handful of classes, so
+/// reading every slot costs less than keeping ordered sets, which would
+/// allocate and free a node on almost every arrival.
+#[derive(Debug)]
 pub(crate) struct ReadyIndex {
-    ready: BTreeSet<(u64, u64, RequestClass)>,
-    keys: BTreeMap<RequestClass, (u64, u64)>,
-    flagged: BTreeSet<RequestClass>,
+    slots: Vec<Slot>,
+}
+
+/// One class's state in the [`ReadyIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Empty queue: neither ready nor flagged.
+    Idle,
+    /// Dispatchable now, under this selection key.
+    Ready((u64, u64)),
+    /// Queued, waiting on its batch window.
+    Flagged,
 }
 
 impl ReadyIndex {
-    /// A fresh, empty index.
-    pub(crate) fn new() -> Self {
-        ReadyIndex::default()
+    /// An empty index over `classes` class ranks.
+    pub(crate) fn new(classes: usize) -> Self {
+        ReadyIndex { slots: vec![Slot::Idle; classes] }
     }
 
     /// The selection key of a queue head: `(arrival bits, id)`. Valid
-    /// because event times are non-negative and finite.
+    /// because event times are non-negative and finite, so their IEEE-754
+    /// bit patterns order identically to their values.
     pub(crate) fn ready_key(arrive_ns: f64, id: u64) -> (u64, u64) {
         debug_assert!(
             arrive_ns.is_finite() && arrive_ns >= 0.0,
@@ -259,44 +276,49 @@ impl ReadyIndex {
         (arrive_ns.to_bits(), id)
     }
 
-    /// Marks `class` ready under `key`, replacing any previous state.
-    pub(crate) fn set_ready(&mut self, class: RequestClass, key: (u64, u64)) {
-        self.clear(class);
-        self.keys.insert(class, key);
-        self.ready.insert((key.0, key.1, class));
+    /// Marks class `rank` ready under `key`, replacing any previous state.
+    pub(crate) fn set_ready(&mut self, rank: usize, key: (u64, u64)) {
+        self.slots[rank] = Slot::Ready(key);
     }
 
-    /// Marks `class` flagged (queued, not yet dispatchable), replacing
-    /// any previous state.
-    pub(crate) fn set_flagged(&mut self, class: RequestClass) {
-        self.clear(class);
-        self.flagged.insert(class);
+    /// Marks class `rank` flagged (queued, not yet dispatchable),
+    /// replacing any previous state.
+    pub(crate) fn set_flagged(&mut self, rank: usize) {
+        self.slots[rank] = Slot::Flagged;
     }
 
-    /// Removes `class` from both the ready and flagged sets.
-    pub(crate) fn clear(&mut self, class: RequestClass) {
-        if let Some((t, id)) = self.keys.remove(&class) {
-            self.ready.remove(&(t, id, class));
+    /// Marks class `rank` neither ready nor flagged.
+    pub(crate) fn clear(&mut self, rank: usize) {
+        self.slots[rank] = Slot::Idle;
+    }
+
+    /// The ready class with the smallest key (ties to the lower rank).
+    pub(crate) fn best(&self) -> Option<usize> {
+        let mut best: Option<(usize, (u64, u64))> = None;
+        for (rank, slot) in self.slots.iter().enumerate() {
+            if let Slot::Ready(key) = *slot {
+                if best.is_none_or(|(_, b)| key < b) {
+                    best = Some((rank, key));
+                }
+            }
         }
-        self.flagged.remove(&class);
+        best.map(|(rank, _)| rank)
     }
 
-    /// The ready class whose head has waited longest (ties by request
-    /// id; ids are unique so the order is total).
-    pub(crate) fn best(&self) -> Option<RequestClass> {
-        self.ready.first().map(|&(_, _, class)| class)
-    }
-
-    /// First flagged class in class order (cursor start for the arming
+    /// First flagged class in rank order (cursor start for the arming
     /// sweep; the sweep may promote the cursor's class without
     /// invalidating [`ReadyIndex::next_flagged_after`]).
-    pub(crate) fn first_flagged(&self) -> Option<RequestClass> {
-        self.flagged.first().copied()
+    pub(crate) fn first_flagged(&self) -> Option<usize> {
+        self.flagged_from(0)
     }
 
-    /// The flagged class after `class` in class order.
-    pub(crate) fn next_flagged_after(&self, class: RequestClass) -> Option<RequestClass> {
-        self.flagged.range((Excluded(class), Unbounded)).next().copied()
+    /// The flagged class after `rank` in rank order.
+    pub(crate) fn next_flagged_after(&self, rank: usize) -> Option<usize> {
+        self.flagged_from(rank + 1)
+    }
+
+    fn flagged_from(&self, start: usize) -> Option<usize> {
+        (start..self.slots.len()).find(|&r| self.slots[r] == Slot::Flagged)
     }
 }
 
@@ -304,6 +326,9 @@ impl ReadyIndex {
 mod tests {
     use super::*;
     use crate::request::ModelKind;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::ops::Bound::{Excluded, Unbounded};
 
     fn class(seq: usize) -> RequestClass {
         RequestClass::new(ModelKind::Tiny, seq)
@@ -398,38 +423,46 @@ mod tests {
         for i in 0u64..100 {
             q.push((i % 4) as usize, (i * 37 % 91, i));
         }
-        let mut filled = ShardedQueue::new(4);
-        filled.fill_shard(2, (0u64..10).map(|i| (i, i)).collect());
-        assert_eq!(filled.shard_len(2), 10);
-        assert_eq!(filled.len(), 10);
+        assert_eq!(q.shard_len(1), 25);
         while q.pop().is_some() {}
-        while filled.pop().is_some() {}
         for s in 0..4 {
             assert_eq!(q.shard_pushes()[s], q.shard_pops()[s], "shard {s}");
-            assert_eq!(filled.shard_pushes()[s], filled.shard_pops()[s], "shard {s}");
         }
         assert_eq!(q.shard_pushes().iter().sum::<u64>(), 100);
     }
 
     #[test]
+    fn peek_is_the_next_pop() {
+        let mut q = ShardedQueue::new(3);
+        assert_eq!(q.peek(), None);
+        for (i, it) in [(4u64, 0u64), (2, 1), (2, 2), (9, 3)].into_iter().enumerate() {
+            q.push(i % 3, it);
+        }
+        while let Some(&head) = q.peek() {
+            assert_eq!(q.pop().map(|(_, it)| it), Some(head));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn ready_index_orders_by_wait_then_id() {
-        let mut idx = ReadyIndex::new();
-        idx.set_ready(class(16), ReadyIndex::ready_key(200.0, 9));
-        idx.set_ready(class(32), ReadyIndex::ready_key(100.0, 12));
-        assert_eq!(idx.best(), Some(class(32)), "older head wins");
-        idx.set_ready(class(64), ReadyIndex::ready_key(100.0, 3));
-        assert_eq!(idx.best(), Some(class(64)), "equal arrival: lower id wins");
-        idx.clear(class(64));
-        assert_eq!(idx.best(), Some(class(32)));
+        let mut idx = ReadyIndex::new(3);
+        idx.set_ready(0, ReadyIndex::ready_key(200.0, 9));
+        idx.set_ready(1, ReadyIndex::ready_key(100.0, 12));
+        assert_eq!(idx.best(), Some(1), "older head wins");
+        idx.set_ready(2, ReadyIndex::ready_key(100.0, 3));
+        assert_eq!(idx.best(), Some(2), "equal arrival: lower id wins");
+        idx.clear(2);
+        assert_eq!(idx.best(), Some(1));
         // Re-marking replaces the old key (no stale entries linger).
-        idx.set_ready(class(32), ReadyIndex::ready_key(500.0, 12));
-        assert_eq!(idx.best(), Some(class(16)));
+        idx.set_ready(1, ReadyIndex::ready_key(500.0, 12));
+        assert_eq!(idx.best(), Some(0));
     }
 
     #[test]
     fn ready_key_bits_order_like_values() {
         // Non-negative finite f64 bit patterns sort like the values —
-        // the property the integer ready-set key relies on.
+        // the property the integer ready key relies on.
         let times = [0.0, 1e-9, 0.5, 1.0, 50_000.0, 5e7, 1e308];
         for w in times.windows(2) {
             assert!(
@@ -443,20 +476,111 @@ mod tests {
 
     #[test]
     fn flagged_cursor_survives_promotion() {
-        let mut idx = ReadyIndex::new();
-        idx.set_flagged(class(16));
-        idx.set_flagged(class(32));
-        idx.set_flagged(class(64));
+        let mut idx = ReadyIndex::new(3);
+        idx.set_flagged(0);
+        idx.set_flagged(1);
+        idx.set_flagged(2);
         let first = idx.first_flagged().expect("flagged");
-        assert_eq!(first, class(16));
+        assert_eq!(first, 0);
         // Promoting the cursor's class must not derail the sweep.
         idx.set_ready(first, ReadyIndex::ready_key(1.0, 1));
-        assert_eq!(idx.next_flagged_after(first), Some(class(32)));
-        assert_eq!(idx.next_flagged_after(class(32)), Some(class(64)));
-        assert_eq!(idx.next_flagged_after(class(64)), None);
+        assert_eq!(idx.next_flagged_after(first), Some(1));
+        assert_eq!(idx.next_flagged_after(1), Some(2));
+        assert_eq!(idx.next_flagged_after(2), None);
         // A flagged class never appears ready and vice versa.
-        assert_eq!(idx.best(), Some(class(16)));
-        idx.set_flagged(class(16));
+        assert_eq!(idx.best(), Some(0));
+        idx.set_flagged(0);
         assert_eq!(idx.best(), None);
+    }
+
+    /// The ordered-set index the dense slots replaced, kept as the
+    /// reference model: ready classes in a `BTreeSet` keyed by
+    /// `(key, rank)`, a key map to find a class's entry, and a flagged
+    /// set walked with range queries.
+    #[derive(Default)]
+    struct ReferenceIndex {
+        ready: BTreeSet<(u64, u64, usize)>,
+        keys: BTreeMap<usize, (u64, u64)>,
+        flagged: BTreeSet<usize>,
+    }
+
+    impl ReferenceIndex {
+        fn set_ready(&mut self, rank: usize, key: (u64, u64)) {
+            self.clear(rank);
+            self.keys.insert(rank, key);
+            self.ready.insert((key.0, key.1, rank));
+        }
+        fn set_flagged(&mut self, rank: usize) {
+            self.clear(rank);
+            self.flagged.insert(rank);
+        }
+        fn clear(&mut self, rank: usize) {
+            if let Some((t, id)) = self.keys.remove(&rank) {
+                self.ready.remove(&(t, id, rank));
+            }
+            self.flagged.remove(&rank);
+        }
+        fn best(&self) -> Option<usize> {
+            self.ready.first().map(|&(_, _, rank)| rank)
+        }
+        fn first_flagged(&self) -> Option<usize> {
+            self.flagged.first().copied()
+        }
+        fn next_flagged_after(&self, rank: usize) -> Option<usize> {
+            self.flagged.range((Excluded(rank), Unbounded)).next().copied()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random operation sequences — including equal keys across
+        /// classes and promotions in the middle of a flagged sweep —
+        /// leave the dense index answering exactly as the ordered sets.
+        #[test]
+        fn dense_index_matches_the_ordered_set_model(
+            classes in 1usize..7,
+            ops in prop::collection::vec((0u8..4, 0usize..7, 0u64..4, 0u64..4), 1..80),
+        ) {
+            let mut dense = ReadyIndex::new(classes);
+            let mut model = ReferenceIndex::default();
+            for (op, rank, t, id) in ops {
+                let rank = rank % classes;
+                match op {
+                    0 => {
+                        dense.set_ready(rank, ReadyIndex::ready_key(t as f64, id));
+                        model.set_ready(rank, ReadyIndex::ready_key(t as f64, id));
+                    }
+                    1 => {
+                        dense.set_flagged(rank);
+                        model.set_flagged(rank);
+                    }
+                    2 => {
+                        dense.clear(rank);
+                        model.clear(rank);
+                    }
+                    _ => {
+                        // The arming sweep: walk the flagged classes and
+                        // promote every other one, as the dispatcher
+                        // promotes classes whose window has elapsed.
+                        let (mut a, mut b) = (dense.first_flagged(), model.first_flagged());
+                        let mut promote = t % 2 == 0;
+                        while let (Some(ra), Some(rb)) = (a, b) {
+                            prop_assert_eq!(ra, rb);
+                            a = dense.next_flagged_after(ra);
+                            b = model.next_flagged_after(rb);
+                            if promote {
+                                dense.set_ready(ra, ReadyIndex::ready_key(t as f64, id));
+                                model.set_ready(rb, ReadyIndex::ready_key(t as f64, id));
+                            }
+                            promote = !promote;
+                        }
+                        prop_assert_eq!(a, b);
+                    }
+                }
+                prop_assert_eq!(dense.best(), model.best());
+                prop_assert_eq!(dense.first_flagged(), model.first_flagged());
+            }
+        }
     }
 }

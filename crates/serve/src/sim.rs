@@ -5,19 +5,39 @@
 //! event loop is **fully ordered**: events are processed in `(time,
 //! sequence-number)` order, every random draw comes from one seeded
 //! `ChaCha8Rng` consumed in event order, and all collections iterate
-//! deterministically (`BTreeMap` / `BTreeSet`). Two runs with the same
-//! [`ServeConfig`] therefore produce bitwise-identical reports.
+//! deterministically (class state lives in `Vec`s indexed by the class's
+//! rank in class order). Two runs with the same [`ServeConfig`] therefore
+//! produce bitwise-identical reports.
 //!
-//! Event *storage* is sharded (see [`crate::shard`]): instances, request
+//! # Event sources
+//!
+//! Events come from two sources merged under the one `(time, seq)`
+//! order, so each event costs the same however many requests a run has:
+//!
+//! - an **arrival cursor** over the open-loop trace that
+//!   [`generate_open_loop`] materializes. Arrival `i` carries `seq = i`,
+//!   and every other event is numbered after the whole trace, so an
+//!   arrival wins any time tie — exactly the order a heap seeded with
+//!   the full trace would produce;
+//! - a **binary heap** of the events the loop creates as it runs
+//!   (instance-free completions, window timers, scale checks, and
+//!   closed-loop arrivals). It holds about one event per instance and
+//!   class at a time.
+//!
+//! Heap *storage* is sharded (see [`crate::shard`]): instances, request
 //! ids, and classes partition across per-shard heaps, popped through a
 //! deterministic min-of-heads merge that reproduces the single-heap pop
 //! sequence exactly — so the shard count (`STAR_SERVE_SHARDS`, or an
 //! explicit [`simulate_sharded`] argument) changes no output byte, a
-//! property the `shard_equivalence` differential suite pins across shard
-//! × thread grids. Open-loop seeding builds the per-shard heaps in
-//! parallel on `star-exec` workers; whole-simulation parallelism lives
-//! *outside* the event loop (parameter sweeps fan out over `star-exec`;
-//! see [`crate::sweep`]).
+//! property the `shard_equivalence` differential suite pins. The loop
+//! itself is serial; whole-simulation parallelism lives *outside* it
+//! (parameter sweeps fan out over `star-exec`; see [`crate::sweep`]).
+//!
+//! Gauge and histogram telemetry is not recorded per event: the run
+//! keeps the values it needs anyway (per-request latencies, per-batch
+//! sizes and energies) and replays each metric into the registry once,
+//! at finalize, in the order the events produced them — bit-identical to
+//! per-event recording, without a lock and a name lookup per event.
 //!
 //! # Event model
 //!
@@ -53,9 +73,8 @@ use crate::trace::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use star_exec::Executor;
-use star_telemetry::Span;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use star_telemetry::{Span, DEFAULT_BUCKET_BOUNDS};
+use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
 /// Complete description of one serving experiment.
@@ -218,14 +237,14 @@ impl Ord for Event {
 /// calling `star_telemetry` directly, plus one deterministic op-count
 /// bump per call when profiling — folded into
 /// `WorkCounters::telemetry_ops` at finalize. Lives in its own field so
-/// the hot path can call it while the cached metric-name table is
-/// borrowed.
+/// the hot path can call it while other state is borrowed.
 ///
 /// Counters stay in a per-run table and reach the active registry once,
 /// in [`TelSink::flush`] at finalize: integer addition makes the fold
 /// exact, and a `count(name, 0)` still creates its counter. Gauge and
-/// histogram recordings go to the registry per call, because their f64
-/// sums depend on the order of additions.
+/// histogram values are replayed at finalize from the run's own vectors
+/// (see [`Sim::replay_telemetry`]); their call sites only bump the op
+/// count.
 #[derive(Debug)]
 struct TelSink {
     profiled: bool,
@@ -239,15 +258,16 @@ impl TelSink {
         TelSink { profiled, ops: 0, counters: Vec::new() }
     }
 
+    /// Counts `n` logical recordings.
     #[inline]
-    fn bump(&mut self) {
+    fn bump(&mut self, n: u64) {
         if self.profiled {
-            self.ops += 1;
+            self.ops += n;
         }
     }
 
     fn count(&mut self, name: &'static str, n: u64) {
-        self.bump();
+        self.bump(1);
         match self.counters.iter_mut().find(|(k, _)| *k == name) {
             Some((_, total)) => *total += n,
             None => self.counters.push((name, n)),
@@ -260,31 +280,10 @@ impl TelSink {
             star_telemetry::count(name, n);
         }
     }
-
-    fn add(&mut self, name: &str, v: f64) {
-        self.bump();
-        star_telemetry::add(name, v);
-    }
-
-    fn observe(&mut self, name: &str, v: f64) {
-        self.bump();
-        star_telemetry::observe(name, v);
-    }
-
-    fn observe_with(&mut self, name: &str, v: f64, bounds: &[f64]) {
-        self.bump();
-        star_telemetry::observe_with(name, v, bounds);
-    }
 }
 
-/// Pre-formatted per-class metric names, built once per run. (The loop
-/// used to `format!` two strings per completed request — a measurable
-/// slice of the instance-free phase the self-profiler flagged.)
-#[derive(Debug)]
-struct ClassNames {
-    latency_us: String,
-    queue_us: String,
-}
+/// Bucket bounds of the `serve.batch.size` histogram.
+const BATCH_SIZE_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// The simulator state.
 struct Sim<'a> {
@@ -295,18 +294,27 @@ struct Sim<'a> {
     services: Vec<ServiceModel>,
     /// Instance slot → index into `services`.
     model_of: Vec<usize>,
-    /// Event storage: per-shard heaps with a deterministic min-of-heads
-    /// merge — pops in exactly the single-heap order for any shard count.
+    /// The mix's classes in class order; a class's index here (its
+    /// rank) addresses every per-class table below.
+    classes: Vec<RequestClass>,
+    /// The open-loop arrival trace, read through `next_arrival`; arrival
+    /// `i` carries sequence number `i`. Empty for closed-loop runs,
+    /// whose arrivals go through the heap.
+    open_loop: Vec<Request>,
+    next_arrival: usize,
+    /// Loop-created events: per-shard heaps with a deterministic
+    /// min-of-heads merge — pops in exactly the single-heap order for any
+    /// shard count.
     events: ShardedQueue<Event>,
     layout: ShardLayout,
-    exec: &'a Executor,
     event_seq: u64,
     next_request_id: u64,
     rng: ChaCha8Rng,
-    queues: BTreeMap<RequestClass, VecDeque<Request>>,
+    queues: Vec<VecDeque<Request>>,
     queued_total: usize,
     idle: BTreeSet<usize>,
-    armed_windows: BTreeMap<RequestClass, f64>,
+    /// Per class, the time of its pending window wake-up, if any.
+    armed_windows: Vec<Option<f64>>,
     /// Incremental ready/flagged class index — replaces the per-iteration
     /// linear queue scan in the dispatcher. The control plane's dequeue
     /// policy chooses the *key* each class is indexed under (FIFO head
@@ -319,10 +327,9 @@ struct Sim<'a> {
     active_count: usize,
     /// Per-class attained busy time, ns — WFQ's virtual-time input and
     /// the fairness-share table (maintained only when control is on).
-    attained_ns: BTreeMap<RequestClass, f64>,
+    attained_ns: Vec<f64>,
     /// Autoscaler runtime state (present iff configured).
     scaler: Option<ScalerState>,
-    class_names: BTreeMap<RequestClass, ClassNames>,
     tel: TelSink,
     // Accounting.
     arrivals: u64,
@@ -336,12 +343,16 @@ struct Sim<'a> {
     latencies_ns: Vec<f64>,
     queue_delays_ns: Vec<f64>,
     records: Vec<RequestRecord>,
+    /// Size and energy of every batch, in dispatch order (replayed into
+    /// telemetry at finalize).
+    batch_sizes: Vec<usize>,
+    batch_energy_pj: Vec<f64>,
     busy_ns: Vec<f64>,
     energy_pj: f64,
     in_system: u64,
     max_in_system: u64,
     makespan_ns: f64,
-    per_class: BTreeMap<RequestClass, ClassAccum>,
+    per_class: Vec<ClassAccum>,
     trace: Option<ServeTrace>,
     /// Device-health monitor (observation-only unless its wear-leveling
     /// policy is enabled; consumes zero RNG draws either way).
@@ -379,7 +390,6 @@ impl<'a> Sim<'a> {
         flight: Option<&FlightConfig>,
         blamed: bool,
         shards: usize,
-        exec: &'a Executor,
     ) -> Self {
         cfg.validate();
         let classes = cfg.mix.classes();
@@ -413,22 +423,10 @@ impl<'a> Sim<'a> {
                 cfg.control.placement.name(),
             ))
         });
-        let mut queues = BTreeMap::new();
-        let mut per_class = BTreeMap::new();
-        let mut class_names = BTreeMap::new();
-        let mut attained_ns = BTreeMap::new();
-        for class in classes {
-            queues.insert(class, VecDeque::new());
-            per_class.insert(class, ClassAccum::default());
-            attained_ns.insert(class, 0.0);
-            class_names.insert(
-                class,
-                ClassNames {
-                    latency_us: format!("serve.class.{class}.latency_us"),
-                    queue_us: format!("serve.class.{class}.queue_us"),
-                },
-            );
-        }
+        let mut ranked = classes;
+        ranked.sort_unstable();
+        ranked.dedup();
+        let n_classes = ranked.len();
         let trace = traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
         let health =
             health.map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
@@ -438,22 +436,23 @@ impl<'a> Sim<'a> {
             cfg,
             services,
             model_of,
+            classes: ranked,
+            open_loop: Vec::new(),
+            next_arrival: 0,
             events: ShardedQueue::new(layout.shards()),
             layout,
-            exec,
             event_seq: 0,
             next_request_id: 0,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5EB5_E001),
-            queues,
+            queues: vec![VecDeque::new(); n_classes],
             queued_total: 0,
             idle: (0..initial_active).collect(),
-            armed_windows: BTreeMap::new(),
-            ready: ReadyIndex::new(),
+            armed_windows: vec![None; n_classes],
+            ready: ReadyIndex::new(n_classes),
             control_active: !cfg.control.is_noop(),
             active_count: initial_active,
-            attained_ns,
+            attained_ns: vec![0.0; n_classes],
             scaler,
-            class_names,
             tel: TelSink::new(profiled),
             arrivals: 0,
             rejected: 0,
@@ -466,12 +465,14 @@ impl<'a> Sim<'a> {
             latencies_ns: Vec::new(),
             queue_delays_ns: Vec::new(),
             records: Vec::new(),
+            batch_sizes: Vec::new(),
+            batch_energy_pj: Vec::new(),
             busy_ns: vec![0.0; capacity],
             energy_pj: 0.0,
             in_system: 0,
             max_in_system: 0,
             makespan_ns: 0.0,
-            per_class,
+            per_class: vec![ClassAccum::default(); n_classes],
             trace,
             health,
             profile: profiled.then(|| Box::new(SimProfile::new())),
@@ -554,8 +555,8 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Seeds the event queue with the entire open-loop trace, or the
-    /// first request of every closed-loop client.
+    /// Installs the open-loop trace behind the arrival cursor, or pushes
+    /// the first request of every closed-loop client.
     fn seed_arrivals(&mut self) {
         match self.cfg.arrival {
             ArrivalProcess::Poisson(_) | ArrivalProcess::Mmpp(_) => {
@@ -565,14 +566,17 @@ impl<'a> Sim<'a> {
                     self.cfg.horizon_ns,
                     self.cfg.seed,
                 );
-                self.next_request_id = reqs.len() as u64;
-                if self.layout.shards() > 1 {
-                    self.seed_open_loop_sharded(reqs);
-                } else {
-                    for req in reqs {
-                        self.push_event(req.arrive_ns, EventKind::Arrive(req));
-                    }
-                }
+                // Arrival i is event i; loop-created events follow.
+                let n = reqs.len();
+                self.event_seq = n as u64;
+                self.next_request_id = n as u64;
+                self.open_loop = reqs;
+                // Every completion appends one entry to each; sizing them
+                // once keeps the trace the cursor holds from raising the
+                // run's peak memory.
+                self.latencies_ns.reserve_exact(n);
+                self.queue_delays_ns.reserve_exact(n);
+                self.records.reserve_exact(n);
             }
             ArrivalProcess::ClosedLoop(crate::arrival::ClosedLoopArrival { clients, think_ns }) => {
                 assert!(clients > 0, "closed loop needs at least one client");
@@ -585,38 +589,31 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Seeds the sharded queue from an open-loop trace by building every
-    /// shard's event set on a `star-exec` worker. An arrival's event is a
-    /// pure function of the request and its trace position (its sequence
-    /// number equals its index, exactly what the serial per-event push
-    /// assigns), so the per-shard heaps — and therefore every later pop —
-    /// are bitwise identical to serial seeding at any worker count.
-    fn seed_open_loop_sharded(&mut self, reqs: Vec<Request>) {
-        debug_assert_eq!(self.event_seq, 0, "seeding happens before any other push");
-        let shard_ids: Vec<usize> = (0..self.layout.shards()).collect();
-        let layout = &self.layout;
-        let per_shard: Vec<Vec<Event>> = self.exec.par_map(&shard_ids, |_, &shard| {
-            reqs.iter()
-                .enumerate()
-                .filter(|(_, req)| layout.request_shard(req.id) == shard)
-                .map(|(i, req)| Event {
-                    time: req.arrive_ns,
-                    seq: i as u64,
-                    kind: EventKind::Arrive(req.clone()),
-                })
-                .collect()
-        });
-        let n = reqs.len() as u64;
-        self.event_seq = n;
-        for (shard, events) in per_shard.into_iter().enumerate() {
-            self.events.fill_shard(shard, events);
+    /// Removes and returns the next event: the smaller of the arrival
+    /// cursor's head and the heap's head under the `(time, seq)` order.
+    fn pop_event(&mut self) -> Option<Event> {
+        let seq = self.next_arrival as u64;
+        let arrival_first = match (self.open_loop.get(self.next_arrival), self.events.peek()) {
+            (Some(req), Some(head)) => {
+                req.arrive_ns.total_cmp(&head.time).then(seq.cmp(&head.seq)).is_lt()
+            }
+            (arrival, _) => arrival.is_some(),
+        };
+        if arrival_first {
+            let req = self.open_loop[self.next_arrival].clone();
+            self.next_arrival += 1;
+            return Some(Event { time: req.arrive_ns, seq, kind: EventKind::Arrive(req) });
         }
+        let (_, event) = self.events.pop()?;
         if let Some(p) = self.profile.as_deref_mut() {
-            // Bulk accounting identical to n serial pushes: seeding only
-            // grows the queue, so its peak is its final length.
-            p.work.heap_pushes += n;
-            p.work.heap_peak = p.work.heap_peak.max(self.events.len() as u64);
+            p.work.heap_pops += 1;
         }
+        Some(event)
+    }
+
+    /// The rank of `class` in class order.
+    fn rank(&self, class: RequestClass) -> usize {
+        self.classes.binary_search(&class).expect("mix classes are registered")
     }
 
     /// Schedules the next request of a closed-loop client at `t` (no-op
@@ -644,12 +641,13 @@ impl<'a> Sim<'a> {
     }
 
     fn on_arrive(&mut self, now: f64, req: Request) {
+        let rank = self.rank(req.class);
         self.arrivals += 1;
-        self.per_class.get_mut(&req.class).expect("mix classes pre-registered").arrivals += 1;
+        self.per_class[rank].arrivals += 1;
         self.tel.count("serve.requests.arrived", 1);
         if self.queued_total >= self.cfg.max_queue {
             self.rejected += 1;
-            self.per_class.get_mut(&req.class).expect("class registered").rejected += 1;
+            self.per_class[rank].rejected += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
@@ -689,17 +687,17 @@ impl<'a> Sim<'a> {
         self.in_system += 1;
         self.max_in_system = self.max_in_system.max(self.in_system);
         self.queued_total += 1;
-        let class = req.class;
-        self.queues.get_mut(&class).expect("mix classes pre-registered").push_back(req);
+        self.queues[rank].push_back(req);
         // Enqueue is one of the two points where class readiness can
         // change; re-evaluate its slot in the ready index.
-        self.reindex_class(now, class);
+        self.reindex_class(now, rank);
         self.try_dispatch(now);
     }
 
     fn on_window_expire(&mut self, now: f64, class: RequestClass) {
-        if self.armed_windows.get(&class) == Some(&now) {
-            self.armed_windows.remove(&class);
+        let rank = self.rank(class);
+        if self.armed_windows[rank] == Some(now) {
+            self.armed_windows[rank] = None;
         }
         self.try_dispatch(now);
     }
@@ -737,6 +735,7 @@ impl<'a> Sim<'a> {
             });
         }
         self.tock(phase::TRACE_EMIT, tt);
+        let rank = self.rank(batch.class);
         for req in batch.members {
             let latency = now - req.arrive_ns;
             let queue_ns = batch.dispatch_ns - req.arrive_ns;
@@ -755,7 +754,7 @@ impl<'a> Sim<'a> {
             }
             self.in_system -= 1;
             self.completed += 1;
-            let acc = self.per_class.get_mut(&req.class).expect("class registered");
+            let acc = &mut self.per_class[rank];
             acc.completed += 1;
             acc.latencies_ns.push(latency);
             if good {
@@ -773,14 +772,9 @@ impl<'a> Sim<'a> {
                 self.tel.count("serve.requests.late", 1);
             }
             self.tel.count("serve.requests.completed", 1);
-            self.tel.observe("serve.latency_us", latency / 1e3);
-            self.tel.observe("serve.queue_us", queue_ns / 1e3);
-            // Per-class span-duration histograms: the dashboard view of
-            // the per-request span tree's two lifecycle children (names
-            // pre-formatted at construction — no per-request `format!`).
-            let names = self.class_names.get(&req.class).expect("class registered");
-            self.tel.observe(&names.latency_us, latency / 1e3);
-            self.tel.observe(&names.queue_us, queue_ns / 1e3);
+            // `serve.latency_us`, `serve.queue_us` and the class's pair,
+            // replayed at finalize from the vectors filled below.
+            self.tel.bump(4);
             let tt = self.tick_if(self.trace.is_some());
             if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
                 let span = Span::leaf(
@@ -877,19 +871,19 @@ impl<'a> Sim<'a> {
         self.tock(phase::DISPATCH, td);
     }
 
-    /// The ready-index key of a class whose queue head arrived at
+    /// The ready-index key of class `rank` whose queue head arrived at
     /// `arrive_ns` with request `id` — the dequeue policy's comparator.
     /// FIFO keys by head arrival (the pre-control-plane order, bitwise
     /// preserved); weighted-fair by the class's weighted attained
     /// service (a virtual time — least-served-first); EDF by the head's
     /// absolute deadline. All three are non-negative finite, so they
     /// ride the same `ready_key` bit-pattern ordering.
-    fn priority_key(&self, class: RequestClass, arrive_ns: f64, id: u64) -> (u64, u64) {
+    fn priority_key(&self, rank: usize, arrive_ns: f64, id: u64) -> (u64, u64) {
+        let class = self.classes[rank];
         match &self.cfg.control.dequeue {
             DequeuePolicy::Fifo => ReadyIndex::ready_key(arrive_ns, id),
             DequeuePolicy::WeightedFair(p) => {
-                let attained = self.attained_ns.get(&class).copied().unwrap_or(0.0);
-                ReadyIndex::ready_key(attained / p.weight(class), id)
+                ReadyIndex::ready_key(self.attained_ns[rank] / p.weight(class), id)
             }
             DequeuePolicy::EarliestDeadline(p) => {
                 ReadyIndex::ready_key(arrive_ns + p.deadline_ns(class, self.cfg.deadline_ns), id)
@@ -897,7 +891,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Re-evaluates `class`'s slot in the ready index from its queue
+    /// Re-evaluates class `rank`'s slot in the ready index from its queue
     /// state. Called at the two points where readiness can change shape:
     /// enqueue (length grows, or a first head appears) and batch
     /// formation (the head changes or the queue empties). Between those
@@ -907,16 +901,16 @@ impl<'a> Sim<'a> {
     /// scan used to notice them. (Weighted-fair keys also move when a
     /// class attains service; the dispatch loop re-indexes the
     /// dispatched class after charging it.)
-    fn reindex_class(&mut self, now: f64, class: RequestClass) {
-        let q = self.queues.get(&class).expect("class registered");
+    fn reindex_class(&mut self, now: f64, rank: usize) {
+        let q = &self.queues[rank];
         match q.front() {
-            None => self.ready.clear(class),
+            None => self.ready.clear(rank),
             Some(head) => {
                 if self.cfg.policy.head_ready(q.len(), now, head.arrive_ns) {
-                    let key = self.priority_key(class, head.arrive_ns, head.id);
-                    self.ready.set_ready(class, key);
+                    let key = self.priority_key(rank, head.arrive_ns, head.id);
+                    self.ready.set_ready(rank, key);
                 } else {
-                    self.ready.set_flagged(class);
+                    self.ready.set_flagged(rank);
                 }
             }
         }
@@ -930,27 +924,22 @@ impl<'a> Sim<'a> {
     /// therefore every report, golden, and trace byte) unchanged.
     fn arm_flagged(&mut self, now: f64) {
         let mut cursor = self.ready.first_flagged();
-        while let Some(class) = cursor {
-            cursor = self.ready.next_flagged_after(class);
-            let head = self
-                .queues
-                .get(&class)
-                .and_then(|q| q.front())
-                .expect("flagged class has a queued head");
+        while let Some(rank) = cursor {
+            cursor = self.ready.next_flagged_after(rank);
+            let head = self.queues[rank].front().expect("flagged class has a queued head");
             let (arrive_ns, id) = (head.arrive_ns, head.id);
             let expiry = self.cfg.policy.expiry_ns(arrive_ns);
             if now >= expiry {
-                let key = self.priority_key(class, arrive_ns, id);
-                self.ready.set_ready(class, key);
+                let key = self.priority_key(rank, arrive_ns, id);
+                self.ready.set_ready(rank, key);
             } else {
                 // Arm one wake-up per class; re-arm only if nothing
                 // earlier is pending (duplicates would be harmless but
                 // noisy).
-                let covered =
-                    self.armed_windows.get(&class).is_some_and(|&t| t > now && t <= expiry);
+                let covered = self.armed_windows[rank].is_some_and(|t| t > now && t <= expiry);
                 if !covered {
-                    self.armed_windows.insert(class, expiry);
-                    self.push_event(expiry, EventKind::WindowExpire(class));
+                    self.armed_windows[rank] = Some(expiry);
+                    self.push_event(expiry, EventKind::WindowExpire(self.classes[rank]));
                 }
             }
         }
@@ -962,7 +951,8 @@ impl<'a> Sim<'a> {
             // The ready class whose head has waited longest (ties broken
             // by request id; ids are unique), straight off the index —
             // the serial loop rescanned every class queue here.
-            let Some(class) = self.ready.best() else { break };
+            let Some(rank) = self.ready.best() else { break };
+            let class = self.classes[rank];
             if let Some(p) = self.profile.as_deref_mut() {
                 // One "scan" per indexed ready-pop, i.e. per dispatch
                 // attempt — a pure function of the batch sequence (the
@@ -977,8 +967,8 @@ impl<'a> Sim<'a> {
                     DequeuePolicy::EarliestDeadline(_) => p.work.dispatch_scans_edf += 1,
                 }
             }
-            let members = self.form_batch(now, class);
-            self.reindex_class(now, class);
+            let members = self.form_batch(now, rank);
+            self.reindex_class(now, rank);
             if members.is_empty() {
                 continue; // everything at the head had expired
             }
@@ -1017,9 +1007,9 @@ impl<'a> Sim<'a> {
                 // Charge the class its attained service. Under
                 // weighted-fair the charge moves the class's virtual
                 // time, so its index key must be recomputed.
-                *self.attained_ns.get_mut(&class).expect("class registered") += cost.latency_ns;
+                self.attained_ns[rank] += cost.latency_ns;
                 if matches!(self.cfg.control.dequeue, DequeuePolicy::WeightedFair(_)) {
-                    self.reindex_class(now, class);
+                    self.reindex_class(now, rank);
                 }
             }
             self.batches += 1;
@@ -1029,12 +1019,11 @@ impl<'a> Sim<'a> {
                 p.work.batch_members += size as u64;
             }
             self.tel.count("serve.batches.dispatched", 1);
-            self.tel.observe_with(
-                "serve.batch.size",
-                size as f64,
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-            );
-            self.tel.add("serve.energy.total_pj", cost.energy_pj);
+            // `serve.batch.size` and `serve.energy.total_pj`, replayed at
+            // finalize.
+            self.tel.bump(2);
+            self.batch_sizes.push(size);
+            self.batch_energy_pj.push(cost.energy_pj);
             let finish = now + cost.latency_ns;
             self.push_event(
                 finish,
@@ -1093,13 +1082,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Pops up to `max_batch` requests of `class`, dropping any whose
-    /// deadline already lapsed in the queue.
-    fn form_batch(&mut self, now: f64, class: RequestClass) -> Vec<Request> {
+    /// Pops up to `max_batch` requests of class `rank`, dropping any
+    /// whose deadline already lapsed in the queue.
+    fn form_batch(&mut self, now: f64, rank: usize) -> Vec<Request> {
         let mut members = Vec::new();
         let mut dead: Vec<Request> = Vec::new();
         {
-            let q = self.queues.get_mut(&class).expect("class registered");
+            let q = &mut self.queues[rank];
             while members.len() < self.cfg.policy.max_batch {
                 let Some(head) = q.front() else { break };
                 if now - head.arrive_ns > self.cfg.deadline_ns {
@@ -1122,7 +1111,7 @@ impl<'a> Sim<'a> {
             }
         }
         for req in dead {
-            self.per_class.get_mut(&req.class).expect("class registered").expired += 1;
+            self.per_class[rank].expired += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
@@ -1176,21 +1165,20 @@ impl<'a> Sim<'a> {
         self.seed_arrivals();
         if let Some(s) = &self.scaler {
             // The first decision point; each check arms its successor
-            // until the horizon. Seeded after the arrival trace so the
-            // open-loop bulk path keeps its seq == index property.
+            // until the horizon. Numbered after the arrival trace, whose
+            // arrivals keep seq == index.
             let first = s.cfg.check_interval_ns;
             if first <= self.cfg.horizon_ns {
                 self.push_event(first, EventKind::ScaleCheck);
             }
         }
-        // The cross-shard merge pop: every iteration synchronizes the
-        // shards on the global (time, seq) minimum — a lockstep barrier
-        // per event, which is what preserves bitwise replay.
-        while let Some((_, event)) = self.events.pop() {
+        // The global (time, seq) minimum of the arrival cursor and the
+        // shard heads — a lockstep barrier per event, which is what
+        // preserves bitwise replay.
+        while let Some(event) = self.pop_event() {
             self.makespan_ns = self.makespan_ns.max(event.time);
             if let Some(p) = self.profile.as_deref_mut() {
                 p.work.events_total += 1;
-                p.work.heap_pops += 1;
                 match &event.kind {
                     EventKind::Arrive(_) => p.work.events_arrive += 1,
                     EventKind::WindowExpire(_) => p.work.events_window_expire += 1,
@@ -1271,8 +1259,9 @@ impl<'a> Sim<'a> {
             t.makespan_ns = self.makespan_ns;
         }
         let per_class: Vec<ClassSloReport> = self
-            .per_class
+            .classes
             .iter()
+            .zip(&self.per_class)
             .map(|(&class, a)| ClassSloReport {
                 class,
                 arrivals: a.arrivals,
@@ -1319,22 +1308,21 @@ impl<'a> Sim<'a> {
             per_class,
         };
         let control = self.control_active.then(|| {
-            let total_attained: f64 = self.attained_ns.values().sum();
+            let total_attained: f64 = self.attained_ns.iter().sum();
             let shares: Vec<ClassShare> = self
-                .per_class
+                .classes
                 .iter()
-                .map(|(&class, a)| {
-                    let attained = self.attained_ns.get(&class).copied().unwrap_or(0.0);
-                    ClassShare {
-                        class,
-                        completed: a.completed,
-                        attained_ns: attained,
-                        share: if total_attained > 0.0 { attained / total_attained } else { 0.0 },
-                        weight: match &self.cfg.control.dequeue {
-                            DequeuePolicy::WeightedFair(p) => p.weight(class),
-                            _ => 1.0,
-                        },
-                    }
+                .zip(&self.per_class)
+                .zip(&self.attained_ns)
+                .map(|((&class, a), &attained)| ClassShare {
+                    class,
+                    completed: a.completed,
+                    attained_ns: attained,
+                    share: if total_attained > 0.0 { attained / total_attained } else { 0.0 },
+                    weight: match &self.cfg.control.dequeue {
+                        DequeuePolicy::WeightedFair(p) => p.weight(class),
+                        _ => 1.0,
+                    },
                 })
                 .collect();
             let (
@@ -1382,6 +1370,7 @@ impl<'a> Sim<'a> {
                 converge_ns,
             }
         });
+        self.replay_telemetry();
         let mut trace = self.trace;
         let health = self.health.map(|monitor| {
             let (health_report, samples) = monitor.finalize(report.makespan_ns);
@@ -1405,6 +1394,47 @@ impl<'a> Sim<'a> {
         let flight = self.flight.take().map(|f| f.finalize(&self.services, &self.model_of));
         let blame = self.blame.take().map(|b| b.finalize());
         SimOutcome { report, records: self.records, trace, health, profile, control, flight, blame }
+    }
+
+    /// Records the run's gauge and histogram telemetry into the active
+    /// registry: each metric's values in the order the events produced
+    /// them, which makes the registry state bit-identical to recording
+    /// each value as it happened.
+    fn replay_telemetry(&self) {
+        let us = |ns: &f64| ns / 1e3;
+        star_telemetry::observe_all(
+            "serve.latency_us",
+            self.latencies_ns.iter().map(us),
+            &DEFAULT_BUCKET_BOUNDS,
+        );
+        star_telemetry::observe_all(
+            "serve.queue_us",
+            self.queue_delays_ns.iter().map(us),
+            &DEFAULT_BUCKET_BOUNDS,
+        );
+        // Per-class span-duration histograms: the dashboard view of the
+        // per-request span tree's two lifecycle children.
+        for (&class, acc) in self.classes.iter().zip(&self.per_class) {
+            star_telemetry::observe_all(
+                &format!("serve.class.{class}.latency_us"),
+                acc.latencies_ns.iter().map(us),
+                &DEFAULT_BUCKET_BOUNDS,
+            );
+            star_telemetry::observe_all(
+                &format!("serve.class.{class}.queue_us"),
+                self.records
+                    .iter()
+                    .filter(|r| r.class == class)
+                    .map(|r| (r.dispatch_ns - r.arrive_ns) / 1e3),
+                &DEFAULT_BUCKET_BOUNDS,
+            );
+        }
+        star_telemetry::observe_all(
+            "serve.batch.size",
+            self.batch_sizes.iter().map(|&n| n as f64),
+            &BATCH_SIZE_BOUNDS,
+        );
+        star_telemetry::add_all("serve.energy.total_pj", self.batch_energy_pj.iter().copied());
     }
 }
 
@@ -1448,22 +1478,18 @@ pub struct SimOutcome {
 /// Panics on invalid configuration (zero fleet, non-positive deadline,
 /// horizon, or queue bound; unknown classes).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, false, None, false, shards_from_env(), &exec).run().report
+    Sim::new(cfg, None, false, None, false, None, false, shards_from_env()).run().report
 }
 
 /// Like [`simulate`] with an explicit event-queue shard count, clamped
-/// to `1..=`[`crate::shard::MAX_SHARDS`]. Sharding partitions event
+/// to `1..=`[`crate::shard::MAX_SHARDS`]. Sharding partitions the heap's
 /// *storage* only — instances, request ids, and classes map to per-shard
 /// heaps, popped through a deterministic min-of-heads merge in the exact
 /// single-heap order — so the returned report is **bitwise identical**
 /// to the serial loop's for any shard count (the `shard_equivalence`
-/// suite pins this across shard × thread grids). Open-loop seeding fans
-/// out across `star-exec` workers; `shards = 1` is exactly the serial
-/// layout.
+/// suite pins this); `shards = 1` is exactly the serial layout.
 pub fn simulate_sharded(cfg: &ServeConfig, shards: usize) -> ServeReport {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, false, None, false, shards, &exec).run().report
+    Sim::new(cfg, None, false, None, false, None, false, shards).run().report
 }
 
 /// The fully general sharded entry point: explicit shard count plus any
@@ -1478,22 +1504,7 @@ pub fn simulate_sharded_with(
     health: Option<&HealthConfig>,
     profiled: bool,
 ) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, traced, health, profiled, None, false, shards, &exec).run()
-}
-
-/// [`simulate_sharded_with`] on a caller-supplied executor — the hook
-/// the differential suite uses to vary worker counts in-process instead
-/// of through `STAR_EXEC_THREADS`.
-pub fn simulate_sharded_on(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-    exec: &Executor,
-) -> SimOutcome {
-    Sim::new(cfg, None, traced, health, profiled, None, false, shards, exec).run()
+    Sim::new(cfg, None, traced, health, profiled, None, false, shards).run()
 }
 
 /// Like [`simulate`], but also collects per-request records and the full
@@ -1502,8 +1513,7 @@ pub fn simulate_sharded_on(
 /// untraced run: tracing consumes no RNG draws and perturbs no event
 /// arithmetic.
 pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, true, None, false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, true, None, false, None, false, shards_from_env()).run()
 }
 
 /// Like [`simulate`], with the device-health monitor attached: wear
@@ -1514,8 +1524,7 @@ pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
 /// identical to the unmonitored run (the monitor consumes no RNG draws
 /// and perturbs no event arithmetic — a test pins this).
 pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, Some(health), false, None, false, shards_from_env()).run()
 }
 
 /// [`simulate_traced`] plus the device-health monitor: the trace also
@@ -1523,8 +1532,7 @@ pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcom
 /// temperature / accuracy-margin / wear counter tracks in the Perfetto
 /// export).
 pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, true, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, true, Some(health), false, None, false, shards_from_env()).run()
 }
 
 /// Like [`simulate`], with the simulator's self-profiler attached: the
@@ -1534,8 +1542,7 @@ pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> Si
 /// returned [`ServeReport`] is bitwise identical to the unprofiled run
 /// (a test pins this).
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, true, None, false, shards_from_env()).run()
 }
 
 /// The fully general entry point: any combination of tracing, health
@@ -1547,8 +1554,7 @@ pub fn simulate_profiled_with(
     traced: bool,
     health: Option<&HealthConfig>,
 ) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, traced, health, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, traced, health, true, None, false, shards_from_env()).run()
 }
 
 /// Like [`simulate`], with the incident flight recorder attached: the
@@ -1559,8 +1565,7 @@ pub fn simulate_profiled_with(
 /// and dumps are byte-identical across shard × thread grids (the
 /// `flight_equivalence` suite pins both).
 pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, false, Some(flight), false, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, false, Some(flight), false, shards_from_env()).run()
 }
 
 /// Like [`simulate`], with the critical-path blame recorder attached:
@@ -1571,14 +1576,12 @@ pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
 /// is bitwise identical to the unblamed run at any shard × thread
 /// count (the `blame_equivalence` suite pins both).
 pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, false, None, true, shards_from_env(), &exec).run()
+    Sim::new(cfg, None, false, None, false, None, true, shards_from_env()).run()
 }
 
 /// [`simulate_blamed`] with an explicit event-queue shard count.
 pub fn simulate_blamed_sharded(cfg: &ServeConfig, shards: usize) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, false, None, false, None, true, shards, &exec).run()
+    Sim::new(cfg, None, false, None, false, None, true, shards).run()
 }
 
 /// Runs the simulation on prebuilt service models, with one service
@@ -1600,9 +1603,7 @@ pub fn simulate_scaled(
     services: &[ServiceModel],
     scale: Option<(ServicePhase, f64)>,
 ) -> ServeReport {
-    let exec = Executor::from_env();
-    let mut sim =
-        Sim::new(cfg, Some(services.to_vec()), false, None, false, None, false, shards, &exec);
+    let mut sim = Sim::new(cfg, Some(services.to_vec()), false, None, false, None, false, shards);
     if let Some((phase, factor)) = scale {
         for s in &mut sim.services {
             s.scale_phase(phase, factor);
@@ -1625,25 +1626,7 @@ pub fn simulate_full(
     flight: Option<&FlightConfig>,
     blamed: bool,
 ) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards, &exec).run()
-}
-
-/// [`simulate_full`] on a caller-supplied executor — the hook the
-/// differential suites use to vary worker counts in-process instead of
-/// through `STAR_EXEC_THREADS`.
-#[allow(clippy::too_many_arguments)] // one flag per optional observer
-pub fn simulate_full_on(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-    flight: Option<&FlightConfig>,
-    blamed: bool,
-    exec: &Executor,
-) -> SimOutcome {
-    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards, exec).run()
+    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards).run()
 }
 
 #[cfg(test)]
@@ -1672,6 +1655,46 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_win_time_ties_against_loop_events() {
+        // Arrivals, a window timer and a completion stamped with one
+        // time: the arrivals pop first, in trace order — the order of a
+        // heap holding the whole trace ahead of every loop-created event,
+        // which is the order the goldens record.
+        let cfg = ServeConfig::example();
+        let class = cfg.mix.classes()[0];
+        let t = 1_000.0;
+        let mut sim = Sim::new(&cfg, None, false, None, false, None, false, 1);
+        sim.open_loop =
+            (0..2).map(|id| Request { id, class, arrive_ns: t, client: None }).collect();
+        sim.event_seq = 2;
+        sim.push_event(t, EventKind::WindowExpire(class));
+        let batch = Batch { class, dispatch_ns: 0.0, members: Vec::new() };
+        sim.push_event(t, EventKind::InstanceFree { instance: 0, batch });
+        sim.push_event(t - 1.0, EventKind::WindowExpire(class));
+        let order: Vec<(f64, u64, &str)> = std::iter::from_fn(|| sim.pop_event())
+            .map(|e| {
+                let kind = match e.kind {
+                    EventKind::Arrive(_) => "arrive",
+                    EventKind::WindowExpire(_) => "window",
+                    EventKind::InstanceFree { .. } => "free",
+                    EventKind::ScaleCheck => "scale",
+                };
+                (e.time, e.seq, kind)
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (t - 1.0, 4, "window"),
+                (t, 0, "arrive"),
+                (t, 1, "arrive"),
+                (t, 2, "window"),
+                (t, 3, "free")
+            ]
+        );
+    }
+
+    #[test]
     fn sharded_event_queue_is_invisible_in_the_report() {
         // The headline sharding invariant at unit scope (the full
         // differential grid lives in tests/shard_equivalence.rs): any
@@ -1683,7 +1706,7 @@ mod tests {
         for shards in [2usize, 3, 8, 64] {
             assert_eq!(serial, simulate_sharded(&cfg, shards), "{shards} shards");
         }
-        // Closed-loop arrivals exercise the per-event seeding path too.
+        // Closed-loop arrivals go through the heap instead of the cursor.
         let mut closed = cfg;
         closed.arrival = ArrivalProcess::closed_loop(5, 50_000.0);
         assert_eq!(simulate_sharded(&closed, 1), simulate_sharded(&closed, 4));
@@ -1937,6 +1960,8 @@ mod tests {
         assert_eq!(w.dispatch_scans_wfq + w.dispatch_scans_edf, 0);
         assert_eq!(w.events_instance_free, plain.batches, "one free event per invocation");
         assert_eq!(w.heap_pushes, w.heap_pops, "the heap drains completely");
+        assert_eq!(w.heap_pushes, w.events_total - w.events_arrive, "arrivals bypass the heap");
+        assert!(w.heap_peak <= (cfg.fleet + 1) as u64, "one completion per instance + a timer");
         assert_eq!(w.queue_depth_hist.total(), w.events_total);
         assert_eq!(w.backlog_hist.total(), w.events_total);
         assert!(w.heap_peak > 0);

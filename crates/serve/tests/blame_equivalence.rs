@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use star_exec::Executor;
 use star_serve::{
-    run_what_ifs, simulate_blamed_sharded, simulate_full, simulate_full_on, ArrivalProcess,
-    AutoscaleConfig, BatchPolicy, BlameOutcome, ControlConfig, DequeuePolicy, ModelKind,
-    PlacementPolicy, RequestClass, ServeConfig, ServiceModelConfig, WhatIf, WorkloadMix,
+    run_what_ifs, simulate_blamed_sharded, simulate_full, ArrivalProcess, AutoscaleConfig,
+    BatchPolicy, BlameOutcome, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy,
+    RequestClass, ServeConfig, ServiceModelConfig, WhatIf, WorkloadMix,
 };
 
 /// Saturating mixed workload on one instance (see `shard_equivalence`).
@@ -145,14 +145,17 @@ fn blame_tables_are_bitwise_shard_invariant() {
 
 #[test]
 fn blame_tables_are_worker_count_invariant() {
-    for (name, cfg) in configs() {
-        let baseline =
-            simulate_full_on(&cfg, 8, false, None, false, None, true, &Executor::serial());
-        let want = blame_bytes(baseline.blame.as_ref().expect("blame"));
-        for threads in [1usize, 8] {
-            let exec = Executor::new(threads);
-            let run = simulate_full_on(&cfg, 8, false, None, false, None, true, &exec);
-            let got = blame_bytes(run.blame.as_ref().expect("blame"));
+    // The gallery's blamed runs on one and on eight `star-exec` workers
+    // must reproduce the inline runs byte for byte.
+    let gallery = configs();
+    let blamed = |cfg: &ServeConfig| {
+        let run = simulate_full(cfg, 8, false, None, false, None, true);
+        blame_bytes(run.blame.as_ref().expect("blame"))
+    };
+    let inline: Vec<String> = gallery.iter().map(|(_, cfg)| blamed(cfg)).collect();
+    for threads in [1usize, 8] {
+        let runs = Executor::new(threads).par_map(&gallery, |_, (_, cfg)| blamed(cfg));
+        for (((name, _), want), got) in gallery.iter().zip(&inline).zip(&runs) {
             assert_eq!(want, got, "{name} @ {threads} threads: blame bytes diverged");
         }
     }

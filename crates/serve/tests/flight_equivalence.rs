@@ -9,9 +9,9 @@
 //!    recorder consumes zero RNG draws and performs no event arithmetic.
 //! 2. *Reproducible dumps*: the serialized incident dump (trigger
 //!    records, captured window, root-cause report) is byte-identical
-//!    across `STAR_SERVE_SHARDS` {1, 8} × executor workers {serial, 1,
-//!    8} — an incident captured in production is bit-replayable on any
-//!    topology.
+//!    across `STAR_SERVE_SHARDS` {1, 8}, run inline or on `star-exec`
+//!    workers {1, 8} — an incident captured in production is
+//!    bit-replayable on any topology.
 //!
 //! The config gallery reuses the shard-equivalence stress shapes: the
 //! saturating mix exercises every terminal path (good, late, expired,
@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use star_exec::Executor;
 use star_serve::{
-    simulate_flight, simulate_full_on, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
+    simulate_flight, simulate_full, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
     HealthConfig, ModelKind, RequestClass, ServeConfig, ServiceModelConfig, SimOutcome,
     WorkloadMix,
 };
@@ -91,13 +91,10 @@ fn trace_bytes(outcome: &SimOutcome) -> String {
 fn recorder_output_is_bitwise_invisible_across_the_gallery() {
     let fc = flight_config();
     let health = HealthConfig::default();
-    let exec = Executor::serial();
     for (name, cfg) in configs() {
         for shards in [1usize, 8] {
-            let off =
-                simulate_full_on(&cfg, shards, true, Some(&health), false, None, false, &exec);
-            let on =
-                simulate_full_on(&cfg, shards, true, Some(&health), false, Some(&fc), false, &exec);
+            let off = simulate_full(&cfg, shards, true, Some(&health), false, None, false);
+            let on = simulate_full(&cfg, shards, true, Some(&health), false, Some(&fc), false);
             assert_eq!(off.report, on.report, "{name} @ {shards} shards: report diverged");
             assert_eq!(off.records, on.records, "{name} @ {shards} shards: records diverged");
             assert_eq!(
@@ -116,14 +113,12 @@ fn recorder_output_is_bitwise_invisible_across_the_gallery() {
 fn recorder_never_perturbs_telemetry_bytes() {
     let fc = flight_config();
     let cfg = stress_config();
-    let exec = Executor::serial();
-    let (_, off) = star_telemetry::with_scoped(|| {
-        simulate_full_on(&cfg, 1, false, None, false, None, false, &exec)
-    });
+    let (_, off) =
+        star_telemetry::with_scoped(|| simulate_full(&cfg, 1, false, None, false, None, false));
     let off_json = serde_json::to_string(&off.to_json()).expect("serialize");
     for shards in [1usize, 8] {
         let (_, on) = star_telemetry::with_scoped(|| {
-            simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec)
+            simulate_full(&cfg, shards, false, None, false, Some(&fc), false)
         });
         let on_json = serde_json::to_string(&on.to_json()).expect("serialize");
         assert_eq!(off_json, on_json, "telemetry bytes diverged at {shards} shards");
@@ -133,21 +128,22 @@ fn recorder_never_perturbs_telemetry_bytes() {
 #[test]
 fn incident_dumps_are_byte_identical_across_shard_and_thread_grids() {
     let fc = flight_config();
-    for (name, cfg) in configs() {
-        let baseline =
-            simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &Executor::serial());
-        let want = dump_bytes(&baseline);
-        if name == "stress" {
+    let gallery = configs();
+    let dumps = |cfg: &ServeConfig, shards: usize| {
+        dump_bytes(&simulate_full(cfg, shards, false, None, false, Some(&fc), false))
+    };
+    let inline: Vec<Vec<String>> = gallery.iter().map(|(_, cfg)| dumps(cfg, 1)).collect();
+    for ((name, _), want) in gallery.iter().zip(&inline) {
+        if *name == "stress" {
             assert!(!want.is_empty(), "{name}: the stress shape must produce an incident");
         }
-        for shards in [1usize, 8] {
-            for threads in [1usize, 8] {
-                let exec = Executor::new(threads);
-                let run =
-                    simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec);
+    }
+    for shards in [1usize, 8] {
+        for threads in [1usize, 8] {
+            let runs = Executor::new(threads).par_map(&gallery, |_, (_, cfg)| dumps(cfg, shards));
+            for (((name, _), want), got) in gallery.iter().zip(&inline).zip(&runs) {
                 assert_eq!(
-                    want,
-                    dump_bytes(&run),
+                    want, got,
                     "{name} @ {shards} shards x {threads} threads: dump bytes diverged"
                 );
             }
@@ -159,10 +155,10 @@ fn incident_dumps_are_byte_identical_across_shard_and_thread_grids() {
 fn flight_outcome_counters_are_grid_invariant() {
     let fc = flight_config();
     let cfg = stress_config();
-    let baseline =
-        simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &Executor::serial())
-            .flight
-            .expect("flight");
+    let flight = |shards: usize| {
+        simulate_full(&cfg, shards, false, None, false, Some(&fc), false).flight.expect("flight")
+    };
+    let baseline = flight(1);
     assert_eq!(
         baseline.events_seen,
         baseline.events_retained + baseline.events_evicted,
@@ -173,14 +169,9 @@ fn flight_outcome_counters_are_grid_invariant() {
         baseline.terminals_retained + baseline.terminals_evicted,
         "terminal-ring conservation"
     );
-    for shards in [8usize] {
-        for threads in [1usize, 8] {
-            let exec = Executor::new(threads);
-            let run = simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec)
-                .flight
-                .expect("flight");
-            assert_eq!(baseline, run, "@ {shards} shards x {threads} threads");
-        }
+    for threads in [1usize, 8] {
+        let runs = Executor::new(threads).par_map(&[8usize], |_, &shards| flight(shards));
+        assert_eq!(baseline, runs[0], "@ 8 shards x {threads} threads");
     }
 }
 
@@ -199,12 +190,11 @@ proptest! {
         cfg.seed = seed;
         cfg.arrival = ArrivalProcess::poisson(rate);
         let fc = flight_config();
-        let exec = Executor::serial();
-        let off = simulate_full_on(&cfg, 1, false, None, false, None, false, &exec);
-        let on = simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &exec);
+        let off = simulate_full(&cfg, 1, false, None, false, None, false);
+        let on = simulate_full(&cfg, 1, false, None, false, Some(&fc), false);
         prop_assert_eq!(&off.report, &on.report);
         prop_assert_eq!(&off.records, &on.records);
-        let sharded = simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec);
+        let sharded = simulate_full(&cfg, shards, false, None, false, Some(&fc), false);
         prop_assert_eq!(&on.report, &sharded.report);
         prop_assert_eq!(dump_bytes(&on), dump_bytes(&sharded));
     }

@@ -130,6 +130,11 @@ proptest! {
         // happen inside rounds and every batch needs at least one scan.
         prop_assert!(w.dispatch_scans >= w.batches_formed);
         prop_assert!(w.heap_peak >= 1);
+        // Open-loop arrivals never enter the heap: it holds at most one
+        // completion per instance, one window timer per class, and one
+        // scale check.
+        let bound = cfg.control.capacity(cfg.fleet) + cfg.mix.classes().len() + 1;
+        prop_assert!(w.heap_peak <= bound as u64, "heap peak {} > {bound}", w.heap_peak);
     }
 
     #[test]

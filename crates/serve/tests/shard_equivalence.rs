@@ -1,13 +1,14 @@
 //! Shard-vs-serial differential suite: the proof that sharding the
 //! event queue is **invisible**.
 //!
-//! The serving loop shards event *storage* (`STAR_SERVE_SHARDS`,
-//! [`star_serve::simulate_sharded`]) across per-shard heaps behind a
-//! deterministic min-of-heads merge, and fans open-loop seeding out over
-//! `star-exec` workers. None of that may change a single output byte:
-//! every report field, lifecycle record, trace span, health ledger,
-//! telemetry point, and work counter must be bitwise identical to the
-//! serial single-heap loop at any shard count and any worker count.
+//! The serving loop shards the *storage* of its event heap
+//! (`STAR_SERVE_SHARDS`, [`star_serve::simulate_sharded`]) across
+//! per-shard heaps behind a deterministic min-of-heads merge, and sweeps
+//! run many simulations at once on `star-exec` workers. Neither may
+//! change a single output byte: every report field, lifecycle record,
+//! trace span, health ledger, telemetry point, and work counter must be
+//! bitwise identical to the serial single-heap loop at any shard count
+//! and on any worker.
 //!
 //! This file enforces that contract differentially:
 //!
@@ -15,8 +16,8 @@
 //!   closed-loop, wear-leveled health) × shards {1, 2, 4, 8, 64},
 //!   byte-comparing reports, records, serialized trace JSON, health
 //!   reports, and work counters,
-//! - executor-thread variance at fixed shard count (serial, 1, 8
-//!   workers),
+//! - executor-thread variance at fixed shard count (the gallery run on
+//!   1 and 8 workers against inline runs),
 //! - scoped-telemetry snapshot equality (gauges, counters, histograms
 //!   — f64 sums included, which is why telemetry is *not* buffered
 //!   per shard),
@@ -29,10 +30,9 @@
 use proptest::prelude::*;
 use star_exec::Executor;
 use star_serve::{
-    simulate, simulate_sharded, simulate_sharded_on, simulate_sharded_with, ArrivalProcess,
-    AutoscaleConfig, BatchPolicy, ControlConfig, DequeuePolicy, HealthConfig, ModelKind,
-    PlacementPolicy, RequestClass, ServeConfig, ServiceModelConfig, SimOutcome, WorkloadMix,
-    MAX_SHARDS,
+    simulate, simulate_sharded, simulate_sharded_with, ArrivalProcess, AutoscaleConfig,
+    BatchPolicy, ControlConfig, DequeuePolicy, HealthConfig, ModelKind, PlacementPolicy,
+    RequestClass, ServeConfig, ServiceModelConfig, SimOutcome, WorkloadMix, MAX_SHARDS,
 };
 
 /// Saturating mixed workload on one instance: completions (good and
@@ -66,8 +66,8 @@ fn mmpp_config() -> ServeConfig {
 }
 
 /// Closed-loop clients: arrivals are generated *during* the run (each
-/// completion re-arms a client), so seeding parallelism is bypassed and
-/// the in-loop push path carries every arrival.
+/// completion re-arms a client), so the arrival cursor stays empty and
+/// the heap carries every arrival.
 fn closed_loop_config() -> ServeConfig {
     let mut cfg = ServeConfig::example();
     cfg.arrival = ArrivalProcess::closed_loop(24, 250_000.0);
@@ -176,16 +176,18 @@ fn wear_leveling_health_runs_match_serial() {
 
 #[test]
 fn worker_count_never_changes_sharded_output() {
-    // The executor only parallelizes seeding fan-out; with the merge
-    // fixed, worker count is pure mechanism. Compare serial executor,
-    // one worker, and eight workers at a fixed shard count.
+    // A simulation runs on one thread, but sweeps run many at once on
+    // `star-exec` workers. Running the gallery at a fixed shard count on
+    // one and on eight workers must reproduce the inline runs.
     let health = HealthConfig::default();
-    for (name, cfg) in configs() {
-        let baseline = simulate_sharded_on(&cfg, 8, true, Some(&health), true, &Executor::serial());
-        for threads in [1usize, 8] {
-            let exec = Executor::new(threads);
-            let run = simulate_sharded_on(&cfg, 8, true, Some(&health), true, &exec);
-            assert_outcomes_identical(&format!("{name} @ {threads} threads"), &baseline, &run);
+    let gallery = configs();
+    let inline: Vec<SimOutcome> =
+        gallery.iter().map(|(_, cfg)| observed(cfg, 8, &health)).collect();
+    for threads in [1usize, 8] {
+        let runs =
+            Executor::new(threads).par_map(&gallery, |_, (_, cfg)| observed(cfg, 8, &health));
+        for (((name, _), want), got) in gallery.iter().zip(&inline).zip(&runs) {
+            assert_outcomes_identical(&format!("{name} @ {threads} threads"), want, got);
         }
     }
 }
@@ -231,6 +233,11 @@ fn conservation_holds_at_every_shard_count() {
                 .expect("profile")
                 .work;
             assert_eq!(work.heap_pushes, work.heap_pops, "{name} @ {shards}: push/pop imbalance");
+            if !matches!(cfg.arrival, ArrivalProcess::ClosedLoop(_)) {
+                // Open-loop arrivals stay on their cursor, out of the heap.
+                let bound = cfg.control.capacity(cfg.fleet) + cfg.mix.classes().len() + 1;
+                assert!(work.heap_peak <= bound as u64, "{name} @ {shards}: heap peak");
+            }
             assert_eq!(
                 work.events_total,
                 work.events_arrive

@@ -126,10 +126,11 @@ pub fn add(name: &str, v: f64) {
     dispatch(|r| r.add(name, v));
 }
 
-/// Add `v` to accumulating gauge `name` `n` times in the active registry,
-/// bit-identically to `n` calls of [`add`] (see [`Registry::add_n`]).
-pub fn add_n(name: &str, v: f64, n: u64) {
-    dispatch(|r| r.add_n(name, v, n));
+/// Add every value of `values`, in order, to accumulating gauge `name` in
+/// the active registry, bit-identically to one [`add`] call per value
+/// (see [`Registry::add_all`]).
+pub fn add_all(name: &str, values: impl IntoIterator<Item = f64>) {
+    dispatch(|r| r.add_all(name, values));
 }
 
 /// Set level gauge `name` to `v` in the active registry.
@@ -145,6 +146,13 @@ pub fn observe(name: &str, value: f64) {
 /// Record `value` into histogram `name`, creating it with `bounds`.
 pub fn observe_with(name: &str, value: f64, bounds: &[f64]) {
     dispatch(|r| r.observe_with(name, value, bounds));
+}
+
+/// Record every value of `values`, in order, into histogram `name` in the
+/// active registry, bit-identically to one [`observe_with`] call per value
+/// (see [`Registry::observe_all`]).
+pub fn observe_all(name: &str, values: impl IntoIterator<Item = f64>, bounds: &[f64]) {
+    dispatch(|r| r.observe_all(name, values, bounds));
 }
 
 /// Folds `snap` into the active (scoped-or-global) registry with the
@@ -192,18 +200,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn facade_add_n_matches_sequential_adds() {
+    fn facade_replay_matches_per_call_recording() {
+        let values = [0.1, 0.7, 3.3, 2e9];
         let ((), bulk) = with_scoped(|| {
-            add_n("t.g", 0.7, 0);
-            add_n("t.g", 0.1, 9);
-            add_n("t.g", 0.3, 4);
+            add_all("t.g", values);
+            observe_all("t.h", values, &[1.0, 10.0]);
         });
         let ((), seq) = with_scoped(|| {
-            for _ in 0..9 {
-                add("t.g", 0.1);
-            }
-            for _ in 0..4 {
-                add("t.g", 0.3);
+            for v in values {
+                add("t.g", v);
+                observe_with("t.h", v, &[1.0, 10.0]);
             }
         });
         assert_eq!(bulk, seq);

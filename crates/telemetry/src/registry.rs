@@ -272,29 +272,28 @@ impl Registry {
         }
     }
 
-    /// Adds `v` to the accumulating gauge `name` `n` times under one lock.
+    /// Adds every value of `values` to the accumulating gauge `name`, in
+    /// order, under one lock.
     ///
-    /// The result is bit-identical to `n` sequential [`Registry::add`]
-    /// calls: the same rounding happens at every step, the gauge is created
-    /// only by the first add, and `n == 0` leaves the registry untouched.
-    pub fn add_n(&self, name: &str, v: f64, n: u64) {
-        if n == 0 || !self.is_enabled() {
+    /// The result is bit-identical to one [`Registry::add`] call per value:
+    /// the first value creates the gauge if it is absent, each later value
+    /// is one `+=`, and an empty iterator leaves the registry untouched.
+    pub fn add_all(&self, name: &str, values: impl IntoIterator<Item = f64>) {
+        if !self.is_enabled() {
             return;
         }
+        let mut values = values.into_iter();
+        let Some(first) = values.next() else { return };
         let mut inner = self.lock();
         match inner.gauges.get_mut(name) {
-            Some(g) => {
-                for _ in 0..n {
-                    *g += v;
-                }
-            }
+            Some(g) => *g += first,
             None => {
-                let mut g = v;
-                for _ in 1..n {
-                    g += v;
-                }
-                inner.gauges.insert(name.to_string(), g);
+                inner.gauges.insert(name.to_string(), first);
             }
+        }
+        let g = inner.gauges.get_mut(name).expect("gauge present");
+        for v in values {
+            *g += v;
         }
     }
 
@@ -328,6 +327,31 @@ impl Registry {
                 h.observe(value);
                 inner.histograms.insert(name.to_string(), h);
             }
+        }
+    }
+
+    /// Records every value of `values` into histogram `name`, in order,
+    /// under one lock, creating the histogram with `bounds` if absent.
+    ///
+    /// The result is bit-identical to one [`Registry::observe_with`] call
+    /// per value: the running sum sees the same additions in the same
+    /// order, an existing histogram keeps its bounds, and an empty
+    /// iterator creates nothing.
+    pub fn observe_all(&self, name: &str, values: impl IntoIterator<Item = f64>, bounds: &[f64]) {
+        if !self.is_enabled() {
+            return;
+        }
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
+        let mut inner = self.lock();
+        if !inner.histograms.contains_key(name) {
+            inner.histograms.insert(name.to_string(), Histogram::new(bounds));
+        }
+        let h = inner.histograms.get_mut(name).expect("histogram present");
+        for v in values {
+            h.observe(v);
         }
     }
 
@@ -631,8 +655,9 @@ mod tests {
     }
 
     #[test]
-    fn add_n_matches_sequential_adds_bitwise() {
-        // 0.1 is inexact in binary, so any reassociation would show.
+    fn add_all_of_a_repeated_value_matches_sequential_adds_bitwise() {
+        // The bulk-recording form the crossbar arrays use: 0.1 is
+        // inexact in binary, so any reassociation would show.
         for (start, n) in [(None, 0), (None, 1), (None, 7), (Some(0.3), 0), (Some(0.3), 1000)] {
             let bulk = Registry::new();
             let seq = Registry::new();
@@ -640,27 +665,65 @@ mod tests {
                 bulk.add("g", s);
                 seq.add("g", s);
             }
-            bulk.add_n("g", 0.1, n);
+            bulk.add_all("g", (0..n).map(|_| 0.1));
             for _ in 0..n {
                 seq.add("g", 0.1);
             }
             assert_eq!(bulk.snapshot(), seq.snapshot(), "start {start:?}, n {n}");
             assert_eq!(bulk.gauge_value("g").to_bits(), seq.gauge_value("g").to_bits());
         }
-        // n = 0 on a fresh registry creates nothing, like zero add calls.
+    }
+
+    /// Values whose running sums round differently under any
+    /// reassociation, plus a negative zero and an overflow-bucket value.
+    const REPLAY_VALUES: [f64; 7] = [0.1, -0.0, 0.7, 1e16, 3.3, 2e9, 0.2];
+
+    #[test]
+    fn replay_matches_per_call_recording_bitwise() {
+        let bounds = [1.0, 2.0, 4.0];
+        // A fresh metric, and one that already holds a value (with bounds
+        // the replay must keep rather than replace).
+        for existing in [false, true] {
+            let bulk = Registry::new();
+            let seq = Registry::new();
+            if existing {
+                for r in [&bulk, &seq] {
+                    r.add("g", 0.3);
+                    r.observe_with("h", 0.3, &[0.5, 5.0]);
+                }
+            }
+            bulk.add_all("g", REPLAY_VALUES);
+            bulk.observe_all("h", REPLAY_VALUES, &bounds);
+            for v in REPLAY_VALUES {
+                seq.add("g", v);
+                seq.observe_with("h", v, &bounds);
+            }
+            let (b, s) = (bulk.snapshot(), seq.snapshot());
+            assert_eq!(b, s, "existing {existing}");
+            assert_eq!(b.gauges["g"].to_bits(), s.gauges["g"].to_bits(), "existing {existing}");
+            let (hb, hs) = (&b.histograms["h"], &s.histograms["h"]);
+            assert_eq!(hb.sum.to_bits(), hs.sum.to_bits(), "existing {existing}");
+        }
+        // A lone negative zero creates the gauge with its sign, as `add`.
         let r = Registry::new();
-        r.add_n("g", 1.0, 0);
-        assert!(r.snapshot().is_empty());
-        // First insert keeps the sign of a negative zero, as `add` does.
-        r.add_n("z", -0.0, 1);
+        r.add_all("z", [-0.0]);
         assert!(r.gauge_value("z").is_sign_negative());
     }
 
     #[test]
-    fn add_n_on_disabled_registry_is_inert() {
+    fn replay_of_nothing_creates_no_metric() {
+        let r = Registry::new();
+        r.add_all("g", std::iter::empty());
+        r.observe_all("h", Vec::new(), &DEFAULT_BUCKET_BOUNDS);
+        assert!(r.snapshot().is_empty());
+    }
+
+    #[test]
+    fn replay_on_disabled_registry_is_inert() {
         let r = Registry::new();
         r.set_enabled(false);
-        r.add_n("g", 2.0, 5);
+        r.add_all("g", REPLAY_VALUES);
+        r.observe_all("h", REPLAY_VALUES, &DEFAULT_BUCKET_BOUNDS);
         assert!(r.snapshot().is_empty());
     }
 

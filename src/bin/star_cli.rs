@@ -133,7 +133,9 @@ COMMANDS:
                                    form of causal profiling
     help                           this message
 
-Paper formats: CNEWS = q5.2 (8 bits), MRPC = q5.3 (9 bits), CoLA = q4.2 (7 bits).";
+Paper formats: CNEWS = q5.2 (8 bits), MRPC = q5.3 (9 bits), CoLA = q4.2 (7 bits).
+serve, health, profile, control, blame and whatif reject loads above 2 M expected
+arrivals over their 100 ms horizon and fleets above 4096 instances.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -342,6 +344,36 @@ fn parse_shards(text: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Most arrivals a serve-family command simulates: the expected count
+/// over its fixed 100 ms horizon. At the cap a `serve` run takes about a
+/// second on a 2-vCPU machine; past it, run time and the arrival trace
+/// held in memory grow with the rate.
+const MAX_EXPECTED_ARRIVALS: f64 = 2e6;
+
+/// Most instance slots a serve-family command simulates; every slot
+/// carries its own per-instance state.
+const MAX_INSTANCES: usize = 4_096;
+
+/// Rejects a serve-family config too large to simulate promptly: more
+/// than [`MAX_EXPECTED_ARRIVALS`] expected arrivals, or more than
+/// [`MAX_INSTANCES`] instance slots (autoscaler ceiling included).
+fn check_serve_bounds(cfg: &star::serve::ServeConfig) -> Result<(), String> {
+    let expected = cfg.arrival.offered_rps() * cfg.horizon_ns * 1e-9;
+    if expected > MAX_EXPECTED_ARRIVALS {
+        return Err(format!(
+            "arrival rate {:.0} rps means ~{expected:.0} arrivals over the {:.0} ms horizon; \
+             the limit is {MAX_EXPECTED_ARRIVALS:.0}",
+            cfg.arrival.offered_rps(),
+            cfg.horizon_ns / 1e6
+        ));
+    }
+    let slots = cfg.control.capacity(cfg.fleet);
+    if slots > MAX_INSTANCES {
+        return Err(format!("a fleet of {slots} instances exceeds the limit of {MAX_INSTANCES}"));
+    }
+    Ok(())
+}
+
 /// Parses a positional argument with a default, rejecting zero.
 fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
     arg: Option<&String>,
@@ -360,9 +392,7 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_full, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
-        ModelKind, RequestClass, ServeConfig, ServiceModel, ServiceModelConfig, SloAnalysis,
-        SloPolicy, WorkloadMix,
+        shards_from_env, simulate_full, FlightConfig, ServiceModel, SloAnalysis, SloPolicy,
     };
     // Split flags from positionals so --trace/--flight/--shards compose
     // with every positional combination.
@@ -393,33 +423,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             positional.push(a);
         }
     }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    let cfg = serve_point_config(&positional)?;
+    let (class, fleet) = (cfg.mix.classes()[0], cfg.fleet);
     let service = ServiceModel::new(cfg.service.clone(), &[class]);
     // --shards picks the event-queue layout; the report is bitwise
     // identical at any count, so this is an engine choice, not a knob.
@@ -431,10 +436,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     println!("serving {class} on {fleet} STAR instance(s), policy {}:", cfg.policy);
     println!(
-        "  zero-load floor {:.1} us/request, fleet capacity {:.0} rps at batch 1, {:.0} at batch {batch}",
+        "  zero-load floor {:.1} us/request, fleet capacity {:.0} rps at batch 1, {:.0} at batch {}",
         service.unit_latency_ns(class) / 1e3,
         service.peak_rps(class, 1) * fleet as f64,
-        service.peak_rps(class, batch) * fleet as f64,
+        service.peak_rps(class, cfg.policy.max_batch) * fleet as f64,
+        cfg.policy.max_batch,
     );
     println!(
         "  arrivals {}   completed {}   good {}   late {}   rejected {}   expired {}",
@@ -499,10 +505,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{
-        simulate_monitored, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, HealthModel,
-        ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WearRates, WorkloadMix,
-    };
+    use star::serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
     let mut wear_leveling = false;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
@@ -514,33 +517,8 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
             positional.push(a);
         }
     }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    let cfg = serve_point_config(&positional)?;
+    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
     let outcome = simulate_monitored(&cfg, &health_cfg);
     let r = &outcome.report;
@@ -619,10 +597,7 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use star::serve::{
-        shards_from_env, simulate_sharded_with, ArrivalProcess, BatchPolicy, ControlConfig,
-        ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WorkloadMix,
-    };
+    use star::serve::{shards_from_env, simulate_sharded_with};
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
@@ -642,33 +617,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             positional.push(a);
         }
     }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    let cfg = serve_point_config(&positional)?;
+    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let shards = shards.unwrap_or_else(shards_from_env);
     let outcome = simulate_sharded_with(&cfg, shards, false, None, true);
     let r = &outcome.report;
@@ -794,6 +744,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         service: ServiceModelConfig::default(),
         control: ControlConfig { dequeue, placement, autoscale, instance_services: Vec::new() },
     };
+    check_serve_bounds(&cfg)?;
     let shards = shards.unwrap_or_else(shards_from_env);
     let outcome = simulate_sharded_with(&cfg, shards, false, None, false);
     let r = &outcome.report;
@@ -868,7 +819,8 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
 }
 
 /// Builds the serve-family default config (BERT-base/128 Poisson
-/// traffic against a 2 ms SLO) from the shared positional arguments.
+/// traffic against a 2 ms SLO) from the shared positional arguments,
+/// within the serve-family size bounds (see [`check_serve_bounds`]).
 fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig, String> {
     use star::serve::{
         ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass, ServeConfig,
@@ -887,7 +839,7 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
     if !(window_us.is_finite() && window_us >= 0.0) {
         return Err("window must be finite and non-negative".into());
     }
-    Ok(ServeConfig {
+    let cfg = ServeConfig {
         fleet,
         policy: BatchPolicy::new(batch, window_us * 1e3),
         arrival: ArrivalProcess::poisson(rate),
@@ -898,7 +850,9 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
         deadline_ns: 2e6,
         service: ServiceModelConfig::default(),
         control: ControlConfig::default(),
-    })
+    };
+    check_serve_bounds(&cfg)?;
+    Ok(cfg)
 }
 
 fn cmd_blame(args: &[String]) -> Result<(), String> {
@@ -1452,6 +1406,40 @@ mod tests {
         assert!(cmd_whatif(&["inf".into()]).is_err());
         assert!(cmd_whatif(&["--shards=0".into()]).is_err());
         assert!(cmd_whatif(&["--trace".into()]).is_err());
+    }
+
+    #[test]
+    fn serve_family_rejects_oversized_inputs_promptly() {
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let commands: [(&str, Cmd); 6] = [
+            ("serve", cmd_serve),
+            ("health", cmd_health),
+            ("profile", cmd_profile),
+            ("control", cmd_control),
+            ("blame", cmd_blame),
+            ("whatif", cmd_whatif),
+        ];
+        let oversized: [&[&str]; 3] = [&["1e9", "1"], &["8000", "1000000000"], &["8000", "4097"]];
+        for (name, cmd) in commands {
+            for args in oversized {
+                let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                let t = std::time::Instant::now();
+                let err = cmd(&args).expect_err("oversized input must be rejected");
+                assert!(t.elapsed().as_secs_f64() < 1.0, "{name} {args:?} took {:?}", t.elapsed());
+                assert!(err.contains("limit"), "{name} {args:?}: {err}");
+            }
+        }
+        let t = std::time::Instant::now();
+        assert!(cmd_control(&["--autoscale=1:1000000000".into()]).is_err());
+        assert!(t.elapsed().as_secs_f64() < 1.0);
+        // Sizes just inside the caps are admitted (checked without
+        // simulating).
+        let at_cap = |rate: &str, fleet: &str| {
+            let (rate, fleet) = (rate.to_string(), fleet.to_string());
+            serve_point_config(&[&rate, &fleet]).map(|_| ())
+        };
+        assert!(at_cap("1.99e7", "4096").is_ok());
+        assert!(at_cap("2.1e7", "1").is_err());
     }
 
     #[test]
