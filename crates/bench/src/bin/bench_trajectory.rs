@@ -2,7 +2,7 @@
 //! behind the repo-root `BENCH_serve.json`.
 //!
 //! Runs the `serve_event_loop` matrix (arrival rate × fleet ×
-//! {untraced, traced, health, profiled, sharded, flight, blame}) and
+//! {untraced, traced, health, profiled, flight, blame}) and
 //! maintains the tracked file's
 //! two tracks: deterministic work-counter budgets (machine-independent,
 //! gated hard in CI) and wall-clock medians (machine-dependent,

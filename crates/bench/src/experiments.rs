@@ -202,11 +202,12 @@ pub const A9_HORIZONS: [(&str, f64); 5] = [
 /// case order, so the result and its telemetry sidecar are byte-identical
 /// for any `STAR_EXEC_THREADS`.
 pub fn a9_device_health_result() -> serde_json::Value {
-    use star_serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
+    use star_serve::{simulate_with, HealthConfig, HealthModel, SimOptions, WearRates};
     let (base, health_cfg, cases) = a9_device_health_cases();
+    let monitored = SimOptions { health: Some(health_cfg.clone()), ..SimOptions::default() };
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, case| {
-        star_telemetry::with_scoped(|| simulate_monitored(&case.config, &health_cfg))
+        star_telemetry::with_scoped(|| simulate_with(&case.config, &monitored))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -257,8 +258,8 @@ pub fn a9_device_health_result() -> serde_json::Value {
     // only permutes placement: the ServeReport must stay identical.
     let light_cfg = cases[0].config.clone();
     let off = &outcomes[0];
-    let on =
-        simulate_monitored(&light_cfg, &HealthConfig { wear_leveling: true, ..health_cfg.clone() });
+    let leveled = HealthConfig { wear_leveling: true, ..health_cfg.clone() };
+    let on = simulate_with(&light_cfg, &SimOptions { health: Some(leveled), ..monitored });
     let off_health = off.health.as_ref().expect("health");
     let on_health = on.health.as_ref().expect("health");
     // Leveling only permutes which instance runs a batch: every
@@ -399,8 +400,8 @@ pub fn a10_autoscaler() -> star_serve::AutoscaleConfig {
 /// order, so the result is byte-identical for any `STAR_EXEC_THREADS`.
 pub fn a10_fleet_control_result() -> serde_json::Value {
     use star_serve::{
-        simulate_sharded_with, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy,
-        RequestClass, ServeConfig, ServiceModelConfig,
+        simulate_with, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass,
+        ServeConfig, ServiceModelConfig, SimOptions,
     };
     let base = a10_fleet_control_base();
     let premium = RequestClass::new(ModelKind::BertBase, 128);
@@ -455,7 +456,7 @@ pub fn a10_fleet_control_result() -> serde_json::Value {
 
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, (_, cfg)| {
-        star_telemetry::with_scoped(|| simulate_sharded_with(cfg, 1, false, None, false))
+        star_telemetry::with_scoped(|| simulate_with(cfg, &SimOptions::default()))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -762,8 +763,8 @@ pub fn a11_blame_config() -> star_serve::ServeConfig {
 /// Everything is a pure function of the configuration — the recorder
 /// consumes zero RNG and performs no event arithmetic, and each what-if
 /// leg is an ordinary seeded simulation — so the golden pins the blame
-/// tables and the ranked what-if table byte-for-byte across
-/// `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS` topologies.
+/// tables and the ranked what-if table byte-for-byte at any
+/// `STAR_EXEC_THREADS`.
 ///
 /// # Panics
 ///
@@ -871,9 +872,8 @@ pub fn incident_config() -> star_serve::ServeConfig {
 /// The dump is a pure function of the configuration — the recorder
 /// consumes zero RNG and performs no event arithmetic — so the golden
 /// pins byte-for-byte that (1) the recorder stays invisible and
-/// (2) incident capture is reproducible on any shard/thread topology
-/// (CI diffs this file across `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS`
-/// legs).
+/// (2) incident capture is reproducible at any worker count (CI diffs
+/// this file across `STAR_EXEC_THREADS` legs).
 ///
 /// # Panics
 ///
@@ -881,7 +881,11 @@ pub fn incident_config() -> star_serve::ServeConfig {
 /// trigger regression).
 pub fn incident_result() -> serde_json::Value {
     let cfg = incident_config();
-    let outcome = star_serve::simulate_flight(&cfg, &star_serve::FlightConfig::default());
+    let flight = star_serve::FlightConfig::default();
+    let outcome = star_serve::simulate_with(
+        &cfg,
+        &star_serve::SimOptions { flight: Some(flight), ..star_serve::SimOptions::default() },
+    );
     let flight = outcome.flight.expect("flight run carries an outcome");
     let dump = flight.incidents.first().expect("saturating overload seals an incident");
     serde_json::json!({
@@ -913,11 +917,7 @@ pub fn incident_result() -> serde_json::Value {
 /// The machine-readable `profile_work` result: the deterministic half of
 /// the self-profile ([`star_serve::WorkCounters`] + histograms) for the
 /// fixed configuration from [`profile_fixture_config`], alongside the
-/// report totals the counters must reconcile with — once for the serial
-/// event-queue layout and once at 8 shards (`work_sharded8`). The two
-/// work sections must pin **identical** counters: sharding partitions
-/// event storage behind a deterministic merge and changes no processing
-/// step, so any divergence between them is a determinism bug.
+/// report totals the counters must reconcile with.
 ///
 /// Wall-clock phase numbers are deliberately **absent** — they never
 /// reproduce across machines, so only the work track is golden-pinnable.
@@ -927,11 +927,8 @@ pub fn incident_result() -> serde_json::Value {
 /// Panics if the profiled run returns no profile (a programming error).
 pub fn profile_work_result() -> serde_json::Value {
     let cfg = profile_fixture_config();
-    let outcome = star_serve::simulate_sharded_with(&cfg, 1, false, None, true);
+    let outcome = star_serve::simulate_profiled(&cfg);
     let profile = outcome.profile.expect("profiled run carries a profile");
-    let sharded = star_serve::simulate_sharded_with(&cfg, 8, false, None, true)
-        .profile
-        .expect("profiled run carries a profile");
     let r = &outcome.report;
     serde_json::json!({
         "experiment": "profile_work",
@@ -953,7 +950,6 @@ pub fn profile_work_result() -> serde_json::Value {
             "expired": r.expired,
         },
         "work": profile.work_json(),
-        "work_sharded8": sharded.work_json(),
         "events_per_request": profile.work.events_per_request(),
     })
 }

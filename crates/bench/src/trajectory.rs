@@ -1,8 +1,8 @@
 //! The tracked simulator-performance trajectory behind `BENCH_serve.json`.
 //!
-//! The serving simulator's speed is an engineering asset the ROADMAP's
-//! scale arc (sharded event loop, fleet-of-hundreds sweeps) must not
-//! silently squander. This module defines the schema and measurement
+//! The serving simulator's speed is an engineering asset that scaling
+//! work (fleet-of-hundreds sweeps, longer sequences) must not silently
+//! squander. This module defines the schema and measurement
 //! harness for the repo-root `BENCH_serve.json` file, which carries two
 //! tracks mirroring [`star_serve::SimProfile`]'s dual-track design:
 //!
@@ -22,6 +22,7 @@
 //! and the numbers track the loop itself.
 
 use serde::{Deserialize, Serialize};
+use star_serve::{FlightConfig, HealthConfig, SimOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -44,21 +45,14 @@ pub const MATRIX_FLEETS: [usize; 2] = [2, 8];
 pub const WORK_BUDGET_TOLERANCE_PCT: f64 = 5.0;
 
 /// Simulation variants measured for the wall-clock trajectory, in the
-/// order they appear in reports. `sharded` runs the same untraced
-/// simulation with the event queue split across 8 shards — bitwise
-/// identical output by construction, timed so the trajectory shows what
-/// the sharded layout costs or saves. `flight` runs with the always-on
+/// order they appear in reports. `flight` runs with the always-on
 /// incident flight recorder attached (default [`star_serve::FlightConfig`]);
 /// its budget is the recorder's ≤1.1×-untraced overhead contract. `blame`
 /// runs with the critical-path blame recorder attached — observation-only
 /// per-request wait decomposition folded into blame tables at the end of
 /// the run — so the trajectory shows what exact latency attribution costs
 /// next to the report-only path.
-pub const VARIANTS: [&str; 7] =
-    ["untraced", "traced", "health", "profiled", "sharded", "flight", "blame"];
-
-/// Shard count used by the `sharded` trajectory variant.
-pub const SHARDED_VARIANT_SHARDS: usize = 8;
+pub const VARIANTS: [&str; 6] = ["untraced", "traced", "health", "profiled", "flight", "blame"];
 
 /// Absolute path of the tracked file: `$STAR_BENCH_FILE` if set, else
 /// `BENCH_serve.json` at the repository root (resolved relative to this
@@ -141,14 +135,14 @@ pub struct TrajectoryFile {
 /// Panics if a profiled run returns no profile or a flight run returns
 /// no flight outcome (programming errors).
 pub fn current_work_counters() -> BTreeMap<String, BTreeMap<String, u64>> {
-    let flight_cfg = star_serve::FlightConfig::default();
+    let flight_opts = SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() };
     let mut out = BTreeMap::new();
     for (label, rate, fleet) in matrix_points() {
         let cfg = matrix_config(rate, fleet);
         let profile = star_serve::simulate_profiled(&cfg).profile.expect("profiled run");
         let mut scalars: BTreeMap<String, u64> =
             profile.work.scalars().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let flight = star_serve::simulate_flight(&cfg, &flight_cfg).flight.expect("flight outcome");
+        let flight = star_serve::simulate_with(&cfg, &flight_opts).flight.expect("flight outcome");
         scalars.extend(flight.scalars().into_iter().map(|(k, v)| (k.to_string(), v)));
         out.insert(label, scalars);
     }
@@ -218,8 +212,9 @@ pub fn median_ms(samples: &mut [f64]) -> f64 {
 ///
 /// Panics if a profiled run returns no profile (a programming error).
 pub fn measure_trajectory(label: &str, iters: usize) -> TrajectoryEntry {
-    let health = star_serve::HealthConfig::default();
-    let flight = star_serve::FlightConfig::default();
+    let traced = SimOptions { traced: true, ..SimOptions::default() };
+    let health = SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() };
+    let flight = SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() };
     let mut medians_ms: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
     let mut events_per_sec = BTreeMap::new();
     for (point, rate, fleet) in matrix_points() {
@@ -233,19 +228,13 @@ pub fn measure_trajectory(label: &str, iters: usize) -> TrajectoryEntry {
                         std::hint::black_box(star_serve::simulate(&cfg));
                     }
                     "traced" => {
-                        std::hint::black_box(star_serve::simulate_traced(&cfg));
+                        std::hint::black_box(star_serve::simulate_with(&cfg, &traced));
                     }
                     "health" => {
-                        std::hint::black_box(star_serve::simulate_monitored(&cfg, &health));
-                    }
-                    "sharded" => {
-                        std::hint::black_box(star_serve::simulate_sharded(
-                            &cfg,
-                            SHARDED_VARIANT_SHARDS,
-                        ));
+                        std::hint::black_box(star_serve::simulate_with(&cfg, &health));
                     }
                     "flight" => {
-                        std::hint::black_box(star_serve::simulate_flight(&cfg, &flight));
+                        std::hint::black_box(star_serve::simulate_with(&cfg, &flight));
                     }
                     "blame" => {
                         std::hint::black_box(star_serve::simulate_blamed(&cfg));

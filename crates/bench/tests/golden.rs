@@ -130,7 +130,7 @@ fn a11_blame_whatif_matches_golden() {
     // RNG and performs no event arithmetic, and each what-if leg is an
     // ordinary seeded simulation, so both tables are pure functions of
     // the configuration; CI additionally diffs the regenerated file
-    // across `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS` legs.
+    // across `STAR_EXEC_THREADS` legs.
     assert_matches_golden("a11_blame_whatif", &star_bench::a11_blame_whatif_result());
 }
 
@@ -218,27 +218,6 @@ fn profile_work_golden_reconciles_with_itself() {
             + number_at(&p, "work/events_scale_check")
     );
     assert!(number_at(&p, "events_per_request") > 0.0);
-}
-
-#[test]
-fn profile_work_sharded_section_matches_serial() {
-    // The fixture carries the same profiled run twice: once on the
-    // single-heap event queue (`work`) and once with the queue sharded
-    // eight ways (`work_sharded8`). Sharding is storage, not order — the
-    // min-of-heads merge replays the single-heap pop sequence exactly —
-    // so every counter must agree field-for-field. A regenerated fixture
-    // in which the sections drift means the cross-shard merge changed
-    // the event stream, which the equivalence suite forbids.
-    let p = fixture("profile_work");
-    let work = p.get("work").expect("work section");
-    let sharded = p.get("work_sharded8").expect("work_sharded8 section");
-    let mut mismatches = Vec::new();
-    diff("/work_sharded8", sharded, work, &mut mismatches);
-    assert!(
-        mismatches.is_empty(),
-        "sharded counters drifted from the serial section:\n  {}",
-        mismatches.join("\n  ")
-    );
 }
 
 #[test]
@@ -401,9 +380,9 @@ fn incident_matches_golden() {
     // 80 krps / 1-instance overload, byte-for-byte. The recorder
     // consumes no RNG and performs no event arithmetic, so the dump is a
     // pure function of the configuration; CI additionally diffs the
-    // regenerated file across `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS`
-    // legs. Regenerate deliberately with `bench_trajectory golden` and
-    // copy from `results/`.
+    // regenerated file across `STAR_EXEC_THREADS` legs. Regenerate
+    // deliberately with `bench_trajectory golden` and copy from
+    // `results/`.
     assert_matches_golden("incident", &star_bench::incident_result());
 }
 

@@ -5,16 +5,14 @@
 //! and what the optional instrumentation layers cost on top:
 //!
 //! - `untraced` — `simulate`: the production sweep path (reports only).
-//! - `traced` — `simulate_traced`: span tree per request, invocation
-//!   spans per batch, system-state samples per event.
-//! - `health` — `simulate_monitored`: per-instance wear ledgers plus
-//!   grid-sampled thermal/drift/margin gauges (no span trees).
+//! - `traced` — `simulate_with` with the trace attached: span tree per
+//!   request, invocation spans per batch, system-state samples per event.
+//! - `health` — `simulate_with` with the health monitor attached:
+//!   per-instance wear ledgers plus grid-sampled thermal/drift/margin
+//!   gauges (no span trees).
 //! - `profiled` — `simulate_profiled`: the self-profiler's work counters
 //!   and wall-clock phase timers (the observer observing itself).
-//! - `sharded` — `simulate_sharded` at 8 shards: the same untraced run
-//!   on the sharded event queue (bitwise-identical output; this times
-//!   what the per-shard heaps and min-of-heads merge cost or save).
-//! - `flight` — `simulate_flight`: the always-on incident flight
+//! - `flight` — `simulate_with` with the always-on incident flight
 //!   recorder (bounded ring of compact rows + trigger engine). Its
 //!   budget is ≤1.1× untraced — an order of magnitude cheaper than full
 //!   tracing, which is the whole point of recording retroactively.
@@ -33,14 +31,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use star_serve::{
-    simulate, simulate_blamed, simulate_flight, simulate_monitored, simulate_profiled,
-    simulate_sharded, simulate_traced, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
-    HealthConfig, ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WorkloadMix,
+    simulate, simulate_blamed, simulate_profiled, simulate_with, ArrivalProcess, BatchPolicy,
+    ControlConfig, FlightConfig, HealthConfig, ModelKind, RequestClass, ServeConfig,
+    ServiceModelConfig, SimOptions, WorkloadMix,
 };
-
-/// Shard count for the `sharded` variant — mirrors
-/// `star_bench::trajectory::SHARDED_VARIANT_SHARDS`.
-const SHARDS: usize = 8;
 
 /// A Tiny-class workload sized so one simulation handles a few thousand
 /// requests — large enough to amortize setup, small enough to iterate.
@@ -61,36 +55,33 @@ fn bench_config(rate_rps: f64) -> ServeConfig {
 
 fn bench_event_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_event_loop");
-    let health_cfg = HealthConfig::default();
-    let flight_cfg = FlightConfig::default();
+    let traced = SimOptions { traced: true, ..SimOptions::default() };
+    let health = SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() };
+    let flight = SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() };
     for rate in [20_000.0, 80_000.0] {
         let cfg = bench_config(rate);
         // Sanity: all paths agree before we time them.
         let plain = simulate(&cfg);
-        assert_eq!(plain, simulate_traced(&cfg).report);
-        assert_eq!(plain, simulate_monitored(&cfg, &health_cfg).report);
+        assert_eq!(plain, simulate_with(&cfg, &traced).report);
+        assert_eq!(plain, simulate_with(&cfg, &health).report);
         assert_eq!(plain, simulate_profiled(&cfg).report);
-        assert_eq!(plain, simulate_sharded(&cfg, SHARDS));
-        assert_eq!(plain, simulate_flight(&cfg, &flight_cfg).report);
+        assert_eq!(plain, simulate_with(&cfg, &flight).report);
         assert_eq!(plain, simulate_blamed(&cfg).report);
         assert!(plain.arrivals > 0);
         group.bench_with_input(BenchmarkId::new("untraced", rate as u64), &cfg, |b, cfg| {
             b.iter(|| simulate(cfg))
         });
         group.bench_with_input(BenchmarkId::new("traced", rate as u64), &cfg, |b, cfg| {
-            b.iter(|| simulate_traced(cfg))
+            b.iter(|| simulate_with(cfg, &traced))
         });
         group.bench_with_input(BenchmarkId::new("health", rate as u64), &cfg, |b, cfg| {
-            b.iter(|| simulate_monitored(cfg, &health_cfg))
+            b.iter(|| simulate_with(cfg, &health))
         });
         group.bench_with_input(BenchmarkId::new("profiled", rate as u64), &cfg, |b, cfg| {
             b.iter(|| simulate_profiled(cfg))
         });
-        group.bench_with_input(BenchmarkId::new("sharded", rate as u64), &cfg, |b, cfg| {
-            b.iter(|| simulate_sharded(cfg, SHARDS))
-        });
         group.bench_with_input(BenchmarkId::new("flight", rate as u64), &cfg, |b, cfg| {
-            b.iter(|| simulate_flight(cfg, &flight_cfg))
+            b.iter(|| simulate_with(cfg, &flight))
         });
         group.bench_with_input(BenchmarkId::new("blame", rate as u64), &cfg, |b, cfg| {
             b.iter(|| simulate_blamed(cfg))

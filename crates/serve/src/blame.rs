@@ -56,8 +56,8 @@
 //! The recorder consumes **zero RNG draws** and performs no event
 //! arithmetic: it only observes batch completions. Reports, traces,
 //! goldens, and telemetry are bitwise identical with blame on or off,
-//! at any `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS` (the
-//! `blame_equivalence` suite and CI pin both).
+//! at any `STAR_EXEC_THREADS` (the `observer_equivalence` suite and CI
+//! pin both).
 
 use crate::control::PlacementPolicy;
 use crate::flight::row_from_content;
@@ -958,20 +958,23 @@ impl WhatIfReport {
 /// Runs the baseline plus every intervention on the same seeded
 /// workload and ranks the outcomes by Δp99. Deterministic end to end:
 /// each run is an ordinary simulation, so the table is bitwise
-/// reproducible at any shard/thread count.
+/// reproducible at any worker count.
 ///
 /// The baseline's service models are built once. No intervention
 /// changes an engine config (a heterogeneous fleet's extra instance
 /// copies an existing one), so every run starts from a clone of them.
-pub fn run_what_ifs(cfg: &ServeConfig, shards: usize, interventions: &[WhatIf]) -> WhatIfReport {
+///
+/// `_shards` is ignored; the argument is kept only for the benchmark
+/// harness, which calls this signature.
+pub fn run_what_ifs(cfg: &ServeConfig, _shards: usize, interventions: &[WhatIf]) -> WhatIfReport {
     let services = cfg.service_models();
-    let base = simulate_scaled(cfg, shards, &services, None);
+    let base = simulate_scaled(cfg, &services, None);
     let baseline = WhatIfRow::from_report("baseline".to_string(), &base, &base);
     let mut rows: Vec<WhatIfRow> = interventions
         .iter()
         .map(|w| {
             let (wcfg, scale) = w.apply(cfg);
-            let r = simulate_scaled(&wcfg, shards, &services, scale);
+            let r = simulate_scaled(&wcfg, &services, scale);
             WhatIfRow::from_report(w.label(), &r, &base)
         })
         .collect();
@@ -1169,7 +1172,7 @@ mod tests {
             let fresh = match w {
                 // A freshly built model with the phase scaled.
                 WhatIf::ScalePhase(_) => {
-                    crate::sim::simulate_scaled(&wcfg, 1, &wcfg.service_models(), scale)
+                    crate::sim::simulate_scaled(&wcfg, &wcfg.service_models(), scale)
                 }
                 _ => simulate(&wcfg),
             };

@@ -4,7 +4,7 @@
 //! Scale decisions are evaluated on a fixed cadence by `ScaleCheck`
 //! events — ordinary `(time, seq)` events in the simulator's totally
 //! ordered queue, so byte-identical replay survives any
-//! `STAR_SERVE_SHARDS` / `STAR_EXEC_THREADS`. The decision inputs are
+//! `STAR_EXEC_THREADS`. The decision inputs are
 //! exact integers maintained in event order: the global queue depth and
 //! per-class violation/completion counts accumulated since the previous
 //! check (the in-loop analogue of `slo.rs`'s post-hoc burn-rate

@@ -11,7 +11,7 @@
 //! - [`autoscale::AutoscaleConfig`] adds/drains instances from signals
 //!   already in the event loop; decisions ride ordinary `(time, seq)`
 //!   `ScaleCheck` events, so byte-identical replay survives any
-//!   `STAR_SERVE_SHARDS` / `STAR_EXEC_THREADS`.
+//!   `STAR_EXEC_THREADS`.
 //! - [`placement::PlacementPolicy`] plus per-instance
 //!   [`crate::ServiceModelConfig`]s make heterogeneous fleets (q5.3 vs
 //!   q3.5 engines) first-class, threaded through dispatch and the

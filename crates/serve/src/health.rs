@@ -138,8 +138,8 @@ impl WearLedger {
     /// busy/energy accumulators add. Integer fields merge commutatively
     /// and associatively; the two `f64` accumulators are commutative
     /// pairwise but (like all float sums) only order-stable, which is why
-    /// per-shard ledgers always fold in shard-index order (the same
-    /// convention as the telemetry absorb protocol).
+    /// ledgers always fold in index order (the same convention as the
+    /// telemetry absorb protocol).
     pub fn absorb(&mut self, other: &WearLedger) {
         self.invocations += other.invocations;
         self.requests += other.requests;

@@ -17,7 +17,6 @@
 //! | [`batch`] | The size-or-timeout dynamic batching policy |
 //! | [`model`] | Service costs per batched invocation, grounded in `star-arch` |
 //! | [`sim`] | The seeded, totally ordered discrete-event loop |
-//! | [`shard`] | Sharded event storage: per-shard heaps, deterministic cross-shard merge |
 //! | [`control`] | Fleet control plane: dequeue policies, autoscaler, heterogeneous placement |
 //! | [`flight`] | Incident flight recorder: bounded event ring, trigger engine, root-cause dumps |
 //! | [`blame`] | Critical-path blame attribution + the deterministic what-if engine |
@@ -33,17 +32,12 @@
 //! single `ChaCha8Rng` seeded by [`ServeConfig::seed`] and consumed in
 //! event order, events are totally ordered by `(time, sequence)`, and
 //! every collection iterates deterministically. Open-loop arrivals are
-//! read from their materialized trace through a cursor; the events the
-//! loop creates live in a heap whose storage shards across per-shard
-//! heaps (`STAR_SERVE_SHARDS`, or [`simulate_sharded`]) behind a
-//! deterministic min-of-heads merge that reproduces the single-heap pop
-//! order exactly, so the shard count changes no output byte — the
-//! `shard_equivalence` differential suite pins reports, traces, health
-//! ledgers, and work counters across shard counts. One simulation runs
-//! on one thread; sweeps parallelize *across* simulations via
-//! [`star_exec::Executor`], whose index-ordered reduction (plus the
-//! scoped-telemetry absorb protocol) keeps the full sweep output
-//! byte-identical for any worker count.
+//! read from their materialized trace through a cursor, and the events
+//! the loop creates live in one binary heap merged with that cursor
+//! under the same order. One simulation runs on one thread; sweeps
+//! parallelize *across* simulations via [`star_exec::Executor`], whose
+//! index-ordered reduction (plus the scoped-telemetry absorb protocol)
+//! keeps the full sweep output byte-identical for any worker count.
 //!
 //! # Example
 //!
@@ -67,8 +61,8 @@ pub mod flight;
 pub mod health;
 pub mod model;
 pub mod profile;
+mod ready;
 pub mod request;
-pub mod shard;
 pub mod sim;
 pub mod slo;
 pub mod sweep;
@@ -101,12 +95,9 @@ pub use model::{
 };
 pub use profile::{Pow2Hist, SimProfile, WorkCounters, HIST_BUCKETS, PROFILE_SIDECAR_KEY};
 pub use request::{ModelKind, Request, RequestClass, RequestRecord};
-pub use shard::{shards_from_env, ShardLayout, ShardedQueue, MAX_SHARDS, SHARDS_ENV};
 pub use sim::{
-    simulate, simulate_blamed, simulate_blamed_sharded, simulate_flight, simulate_full,
-    simulate_monitored, simulate_profiled, simulate_profiled_with, simulate_scaled,
-    simulate_sharded, simulate_sharded_with, simulate_traced, simulate_traced_monitored,
-    ServeConfig, SimOutcome,
+    simulate, simulate_blamed, simulate_profiled, simulate_sharded, simulate_with, ServeConfig,
+    SimOptions, SimOutcome,
 };
 pub use slo::{
     BurnSweep, BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis,

@@ -24,14 +24,18 @@
 //!   closed-loop arrivals). It holds about one event per instance and
 //!   class at a time.
 //!
-//! Heap *storage* is sharded (see [`crate::shard`]): instances, request
-//! ids, and classes partition across per-shard heaps, popped through a
-//! deterministic min-of-heads merge that reproduces the single-heap pop
-//! sequence exactly — so the shard count (`STAR_SERVE_SHARDS`, or an
-//! explicit [`simulate_sharded`] argument) changes no output byte, a
-//! property the `shard_equivalence` differential suite pins. The loop
-//! itself is serial; whole-simulation parallelism lives *outside* it
-//! (parameter sweeps fan out over `star-exec`; see [`crate::sweep`]).
+//! The loop is serial: every event reads and writes shared serving
+//! state (the idle set, the admission bound, the sequence counter), so
+//! each pop waits on the one before it. Whole-simulation parallelism
+//! lives *outside* the loop (parameter sweeps fan out over `star-exec`;
+//! see [`crate::sweep`]).
+//!
+//! # Entry points
+//!
+//! [`simulate_with`] runs one simulation with any set of observers
+//! attached, chosen by a [`SimOptions`]. [`simulate`],
+//! [`simulate_profiled`] and [`simulate_blamed`] are shorthands for the
+//! common single-observer runs.
 //!
 //! Gauge and histogram telemetry is not recorded per event: the run
 //! keeps the values it needs anyway (per-request latencies, per-batch
@@ -64,8 +68,8 @@ use crate::flight::{EventView, FlightConfig, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
+use crate::ready::ReadyIndex;
 use crate::request::{Request, RequestClass, RequestRecord};
-use crate::shard::{shards_from_env, ReadyIndex, ShardLayout, ShardedQueue};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{
     invocation_span, BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample,
@@ -74,7 +78,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use star_telemetry::{Span, DEFAULT_BUCKET_BOUNDS};
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Complete description of one serving experiment.
@@ -163,10 +168,11 @@ impl ServeConfig {
         (distinct, model_of)
     }
 
-    /// Builds the fleet's distinct service models, in the order
-    /// [`simulate_scaled`] takes them. Configs that differ only in batch
-    /// window, fleet size (heterogeneous fleets adding a copy of an
-    /// existing engine) or placement share these models.
+    /// Builds the fleet's distinct service models, in the order the
+    /// what-if engine ([`crate::run_what_ifs`]) shares them across its
+    /// runs. Configs that differ only in batch window, fleet size
+    /// (heterogeneous fleets adding a copy of an existing engine) or
+    /// placement share these models.
     pub fn service_models(&self) -> Vec<ServiceModel> {
         let classes = self.mix.classes();
         self.model_slots().0.into_iter().map(|c| ServiceModel::new(c, &classes)).collect()
@@ -302,11 +308,8 @@ struct Sim<'a> {
     /// whose arrivals go through the heap.
     open_loop: Vec<Request>,
     next_arrival: usize,
-    /// Loop-created events: per-shard heaps with a deterministic
-    /// min-of-heads merge — pops in exactly the single-heap order for any
-    /// shard count.
-    events: ShardedQueue<Event>,
-    layout: ShardLayout,
+    /// Loop-created events, smallest `(time, seq)` first.
+    events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     next_request_id: u64,
     rng: ChaCha8Rng,
@@ -380,17 +383,7 @@ struct Sim<'a> {
 impl<'a> Sim<'a> {
     /// `services` are the fleet's distinct models in
     /// [`ServeConfig::service_models`] order; `None` builds them.
-    #[allow(clippy::too_many_arguments)] // one flag per optional observer
-    fn new(
-        cfg: &'a ServeConfig,
-        services: Option<Vec<ServiceModel>>,
-        traced: bool,
-        health: Option<&HealthConfig>,
-        profiled: bool,
-        flight: Option<&FlightConfig>,
-        blamed: bool,
-        shards: usize,
-    ) -> Self {
+    fn new(cfg: &'a ServeConfig, services: Option<Vec<ServiceModel>>, opts: &SimOptions) -> Self {
         cfg.validate();
         let classes = cfg.mix.classes();
         let capacity = cfg.control.capacity(cfg.fleet);
@@ -406,8 +399,7 @@ impl<'a> Sim<'a> {
             }
             None => distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect(),
         };
-        let layout = ShardLayout::new(shards, &classes);
-        let flight = flight.map(|fc| {
+        let flight = opts.flight.as_ref().map(|fc| {
             Box::new(FlightRecorder::new(
                 fc.clone(),
                 classes.clone(),
@@ -415,7 +407,7 @@ impl<'a> Sim<'a> {
                 cfg.policy.window_ns,
             ))
         });
-        let blame = blamed.then(|| {
+        let blame = opts.blamed.then(|| {
             Box::new(BlameRecorder::new(
                 classes.clone(),
                 cfg.policy.window_ns,
@@ -427,9 +419,11 @@ impl<'a> Sim<'a> {
         ranked.sort_unstable();
         ranked.dedup();
         let n_classes = ranked.len();
-        let trace = traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
-        let health =
-            health.map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
+        let trace = opts.traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
+        let health = opts
+            .health
+            .as_ref()
+            .map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
         let scaler =
             cfg.control.autoscale.clone().map(|a| ScalerState::new(a, capacity, initial_active));
         Sim {
@@ -439,8 +433,7 @@ impl<'a> Sim<'a> {
             classes: ranked,
             open_loop: Vec::new(),
             next_arrival: 0,
-            events: ShardedQueue::new(layout.shards()),
-            layout,
+            events: BinaryHeap::new(),
             event_seq: 0,
             next_request_id: 0,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5EB5_E001),
@@ -453,7 +446,7 @@ impl<'a> Sim<'a> {
             active_count: initial_active,
             attained_ns: vec![0.0; n_classes],
             scaler,
-            tel: TelSink::new(profiled),
+            tel: TelSink::new(opts.profiled),
             arrivals: 0,
             rejected: 0,
             expired: 0,
@@ -475,7 +468,7 @@ impl<'a> Sim<'a> {
             per_class: vec![ClassAccum::default(); n_classes],
             trace,
             health,
-            profile: profiled.then(|| Box::new(SimProfile::new())),
+            profile: opts.profiled.then(|| Box::new(SimProfile::new())),
             flight,
             blame,
         }
@@ -529,26 +522,11 @@ impl<'a> Sim<'a> {
         t.samples.push(SystemSample { t_ns: now, queued, busy });
     }
 
-    /// The shard owning an event — a pure function of the event itself
-    /// (request id, class, or instance residue), so shard placement never
-    /// depends on processing history.
-    fn event_shard(&self, kind: &EventKind) -> usize {
-        match kind {
-            EventKind::Arrive(req) => self.layout.request_shard(req.id),
-            EventKind::WindowExpire(class) => self.layout.class_shard(class),
-            EventKind::InstanceFree { instance, .. } => self.layout.instance_shard(*instance),
-            // Scale checks form one global periodic stream; anchor them
-            // to a fixed shard so placement is history-independent.
-            EventKind::ScaleCheck => self.layout.instance_shard(0),
-        }
-    }
-
     fn push_event(&mut self, time: f64, kind: EventKind) {
         debug_assert!(time.is_finite(), "event times must be finite");
         let seq = self.event_seq;
         self.event_seq += 1;
-        let shard = self.event_shard(&kind);
-        self.events.push(shard, Event { time, seq, kind });
+        self.events.push(Reverse(Event { time, seq, kind }));
         if let Some(p) = self.profile.as_deref_mut() {
             p.work.heap_pushes += 1;
             p.work.heap_peak = p.work.heap_peak.max(self.events.len() as u64);
@@ -593,7 +571,8 @@ impl<'a> Sim<'a> {
     /// cursor's head and the heap's head under the `(time, seq)` order.
     fn pop_event(&mut self) -> Option<Event> {
         let seq = self.next_arrival as u64;
-        let arrival_first = match (self.open_loop.get(self.next_arrival), self.events.peek()) {
+        let head = self.events.peek().map(|Reverse(head)| head);
+        let arrival_first = match (self.open_loop.get(self.next_arrival), head) {
             (Some(req), Some(head)) => {
                 req.arrive_ns.total_cmp(&head.time).then(seq.cmp(&head.seq)).is_lt()
             }
@@ -604,7 +583,7 @@ impl<'a> Sim<'a> {
             self.next_arrival += 1;
             return Some(Event { time: req.arrive_ns, seq, kind: EventKind::Arrive(req) });
         }
-        let (_, event) = self.events.pop()?;
+        let Reverse(event) = self.events.pop()?;
         if let Some(p) = self.profile.as_deref_mut() {
             p.work.heap_pops += 1;
         }
@@ -1173,8 +1152,8 @@ impl<'a> Sim<'a> {
             }
         }
         // The global (time, seq) minimum of the arrival cursor and the
-        // shard heads — a lockstep barrier per event, which is what
-        // preserves bitwise replay.
+        // heap head, one event at a time — which is what preserves
+        // bitwise replay.
         while let Some(event) = self.pop_event() {
             self.makespan_ns = self.makespan_ns.max(event.time);
             if let Some(p) = self.profile.as_deref_mut() {
@@ -1249,10 +1228,6 @@ impl<'a> Sim<'a> {
         }
         debug_assert_eq!(self.queued_total, 0, "drain leaves no queued request");
         debug_assert_eq!(self.in_system, 0, "every admitted request completes or expires");
-        debug_assert!(
-            self.events.shard_pushes().iter().zip(self.events.shard_pops()).all(|(p, q)| p == q),
-            "per-shard conservation: every shard drains exactly what it received"
-        );
         let tf = self.tick();
         let makespan_s = (self.makespan_ns * 1e-9).max(f64::MIN_POSITIVE);
         if let Some(t) = self.trace.as_mut() {
@@ -1468,120 +1443,74 @@ pub struct SimOutcome {
     pub blame: Option<BlameOutcome>,
 }
 
-/// Runs the serving simulation and returns its report.
-///
-/// The event-queue shard count comes from `STAR_SERVE_SHARDS` (default
-/// 1); any value produces the same bytes — see [`simulate_sharded`].
+/// The observers a [`simulate_with`] run attaches; the default attaches
+/// none. Every observer consumes zero RNG draws and perturbs no event
+/// arithmetic, so the [`ServeReport`] is bitwise identical whichever are
+/// attached. Wear-leveling, when explicitly enabled in `health`, is the
+/// single documented exception.
+#[derive(Debug, Clone, Default)]
+pub struct SimOptions {
+    /// Collect the full [`ServeTrace`]: a span tree per request,
+    /// invocation spans per batch, and the queue-depth/busy timeseries.
+    pub traced: bool,
+    /// Attach the device-health monitor: wear ledgers accrue from every
+    /// costed invocation and fleet health is sampled on the monitor's
+    /// deterministic grid (see [`crate::health`]). A traced run then
+    /// also carries the fleet-health timeseries.
+    pub health: Option<HealthConfig>,
+    /// Attach the self-profiler: deterministic work counters plus
+    /// wall-clock phase attribution (see [`crate::profile`]).
+    pub profiled: bool,
+    /// Attach the incident flight recorder: bounded event rings and the
+    /// trigger engine that seals incident dumps (see [`crate::flight`]).
+    pub flight: Option<FlightConfig>,
+    /// Attach the critical-path blame recorder: every request's latency
+    /// split into causally attributed waits (see [`crate::blame`]).
+    pub blamed: bool,
+}
+
+/// Runs the serving simulation with the observers `opts` attaches and
+/// returns everything they collected. Per-request records are always
+/// collected; each observer's output is present iff it was attached.
 ///
 /// # Panics
 ///
 /// Panics on invalid configuration (zero fleet, non-positive deadline,
 /// horizon, or queue bound; unknown classes).
+pub fn simulate_with(cfg: &ServeConfig, opts: &SimOptions) -> SimOutcome {
+    Sim::new(cfg, None, opts).run()
+}
+
+/// Runs the serving simulation with no observer attached and returns its
+/// report.
+///
+/// # Panics
+///
+/// Panics on invalid configuration (see [`simulate_with`]).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
-    Sim::new(cfg, None, false, None, false, None, false, shards_from_env()).run().report
+    simulate_with(cfg, &SimOptions::default()).report
 }
 
-/// Like [`simulate`] with an explicit event-queue shard count, clamped
-/// to `1..=`[`crate::shard::MAX_SHARDS`]. Sharding partitions the heap's
-/// *storage* only — instances, request ids, and classes map to per-shard
-/// heaps, popped through a deterministic min-of-heads merge in the exact
-/// single-heap order — so the returned report is **bitwise identical**
-/// to the serial loop's for any shard count (the `shard_equivalence`
-/// suite pins this); `shards = 1` is exactly the serial layout.
-pub fn simulate_sharded(cfg: &ServeConfig, shards: usize) -> ServeReport {
-    Sim::new(cfg, None, false, None, false, None, false, shards).run().report
+/// Exactly [`simulate`]: the event loop runs on one heap and `_shards`
+/// is ignored. The argument is kept only for the benchmark harness,
+/// which calls this signature.
+pub fn simulate_sharded(cfg: &ServeConfig, _shards: usize) -> ServeReport {
+    simulate(cfg)
 }
 
-/// The fully general sharded entry point: explicit shard count plus any
-/// combination of tracing, health monitoring, and self-profiling. Every
-/// observer and the shard count preserve the no-perturbation invariant
-/// (wear-leveling, when explicitly enabled in `health`, is the single
-/// documented exception).
-pub fn simulate_sharded_with(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-) -> SimOutcome {
-    Sim::new(cfg, None, traced, health, profiled, None, false, shards).run()
-}
-
-/// Like [`simulate`], but also collects per-request records and the full
-/// [`ServeTrace`] (span tree per request, invocation spans per batch,
-/// queue-depth/busy timeseries). The report is bitwise identical to the
-/// untraced run: tracing consumes no RNG draws and perturbs no event
-/// arithmetic.
-pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, None, true, None, false, None, false, shards_from_env()).run()
-}
-
-/// Like [`simulate`], with the device-health monitor attached: wear
-/// ledgers accrue from every costed invocation and fleet health is
-/// sampled on the monitor's deterministic grid. With
-/// [`HealthConfig::wear_leveling`] off (the default) monitoring is
-/// **observation-only**: the returned [`ServeReport`] is bitwise
-/// identical to the unmonitored run (the monitor consumes no RNG draws
-/// and perturbs no event arithmetic — a test pins this).
-pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    Sim::new(cfg, None, false, Some(health), false, None, false, shards_from_env()).run()
-}
-
-/// [`simulate_traced`] plus the device-health monitor: the trace also
-/// carries the fleet-health timeseries (rendered as per-instance
-/// temperature / accuracy-margin / wear counter tracks in the Perfetto
-/// export).
-pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    Sim::new(cfg, None, true, Some(health), false, None, false, shards_from_env()).run()
-}
-
-/// Like [`simulate`], with the simulator's self-profiler attached: the
-/// outcome carries a [`SimProfile`] of deterministic work counters and
-/// wall-clock phase attribution. Profiling is observation-only — it
-/// consumes zero RNG draws and perturbs no event arithmetic, so the
-/// returned [`ServeReport`] is bitwise identical to the unprofiled run
-/// (a test pins this).
+/// [`simulate_with`] with only the self-profiler attached: the outcome
+/// carries a [`SimProfile`] of deterministic work counters and
+/// wall-clock phase attribution.
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, None, false, None, true, None, false, shards_from_env()).run()
+    simulate_with(cfg, &SimOptions { profiled: true, ..SimOptions::default() })
 }
 
-/// The fully general entry point: any combination of tracing, health
-/// monitoring, and self-profiling. Every optional subsystem preserves
-/// the no-perturbation invariant (wear-leveling, when explicitly enabled
-/// in `health`, is the single documented exception).
-pub fn simulate_profiled_with(
-    cfg: &ServeConfig,
-    traced: bool,
-    health: Option<&HealthConfig>,
-) -> SimOutcome {
-    Sim::new(cfg, None, traced, health, true, None, false, shards_from_env()).run()
-}
-
-/// Like [`simulate`], with the incident flight recorder attached: the
-/// outcome carries a [`FlightOutcome`] of sealed incident dumps and
-/// ring conservation counters. Recording is observation-only — it
-/// consumes zero RNG draws and perturbs no event arithmetic, so the
-/// returned [`ServeReport`] is bitwise identical to the unrecorded run,
-/// and dumps are byte-identical across shard × thread grids (the
-/// `flight_equivalence` suite pins both).
-pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
-    Sim::new(cfg, None, false, None, false, Some(flight), false, shards_from_env()).run()
-}
-
-/// Like [`simulate`], with the critical-path blame recorder attached:
-/// the outcome carries a [`BlameOutcome`] splitting every request's
-/// latency into causally-attributed waits with a bitwise conservation
-/// identity. Blame is observation-only — it consumes zero RNG draws
-/// and perturbs no event arithmetic, so the returned [`ServeReport`]
-/// is bitwise identical to the unblamed run at any shard × thread
-/// count (the `blame_equivalence` suite pins both).
+/// [`simulate_with`] with only the critical-path blame recorder
+/// attached: the outcome carries a [`BlameOutcome`] splitting every
+/// request's latency into causally attributed waits with a bitwise
+/// conservation identity.
 pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, None, false, None, false, None, true, shards_from_env()).run()
-}
-
-/// [`simulate_blamed`] with an explicit event-queue shard count.
-pub fn simulate_blamed_sharded(cfg: &ServeConfig, shards: usize) -> SimOutcome {
-    Sim::new(cfg, None, false, None, false, None, true, shards).run()
+    simulate_with(cfg, &SimOptions { blamed: true, ..SimOptions::default() })
 }
 
 /// Runs the simulation on prebuilt service models, with one service
@@ -1591,42 +1520,24 @@ pub fn simulate_blamed_sharded(cfg: &ServeConfig, shards: usize) -> SimOutcome {
 /// them; the run scales a clone, so one build serves a whole menu of
 /// interventions. The scaling is applied to the models, not the
 /// configuration, so intervention runs never perturb config
-/// serialization; `scale = None` is exactly [`simulate_sharded`].
+/// serialization; `scale = None` is exactly [`simulate`].
 ///
 /// # Panics
 ///
 /// Panics if `services` are not the models of `cfg`'s fleet, or on
-/// invalid configuration (see [`simulate`]).
-pub fn simulate_scaled(
+/// invalid configuration (see [`simulate_with`]).
+pub(crate) fn simulate_scaled(
     cfg: &ServeConfig,
-    shards: usize,
     services: &[ServiceModel],
     scale: Option<(ServicePhase, f64)>,
 ) -> ServeReport {
-    let mut sim = Sim::new(cfg, Some(services.to_vec()), false, None, false, None, false, shards);
+    let mut sim = Sim::new(cfg, Some(services.to_vec()), &SimOptions::default());
     if let Some((phase, factor)) = scale {
         for s in &mut sim.services {
             s.scale_phase(phase, factor);
         }
     }
     sim.run().report
-}
-
-/// The fully general entry point: explicit shard count plus any
-/// combination of tracing, health monitoring, self-profiling, and the
-/// incident flight recorder. Every observer and the shard count
-/// preserve the no-perturbation invariant (wear-leveling, when
-/// explicitly enabled in `health`, is the single documented exception).
-pub fn simulate_full(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-    flight: Option<&FlightConfig>,
-    blamed: bool,
-) -> SimOutcome {
-    Sim::new(cfg, None, traced, health, profiled, flight, blamed, shards).run()
 }
 
 #[cfg(test)]
@@ -1663,7 +1574,7 @@ mod tests {
         let cfg = ServeConfig::example();
         let class = cfg.mix.classes()[0];
         let t = 1_000.0;
-        let mut sim = Sim::new(&cfg, None, false, None, false, None, false, 1);
+        let mut sim = Sim::new(&cfg, None, &SimOptions::default());
         sim.open_loop =
             (0..2).map(|id| Request { id, class, arrive_ns: t, client: None }).collect();
         sim.event_seq = 2;
@@ -1695,28 +1606,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_event_queue_is_invisible_in_the_report() {
-        // The headline sharding invariant at unit scope (the full
-        // differential grid lives in tests/shard_equivalence.rs): any
-        // shard count, including non-powers-of-two and counts above the
-        // fleet size, produces the serial loop's exact report.
-        let cfg = ServeConfig::example();
-        let serial = simulate_sharded(&cfg, 1);
-        assert_eq!(serial, simulate(&cfg), "env default is the serial layout");
-        for shards in [2usize, 3, 8, 64] {
-            assert_eq!(serial, simulate_sharded(&cfg, shards), "{shards} shards");
-        }
-        // Closed-loop arrivals go through the heap instead of the cursor.
-        let mut closed = cfg;
-        closed.arrival = ArrivalProcess::closed_loop(5, 50_000.0);
-        assert_eq!(simulate_sharded(&closed, 1), simulate_sharded(&closed, 4));
-    }
-
-    #[test]
     fn traced_run_matches_untraced_report() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let traced = simulate_traced(&cfg);
+        let traced = simulate_with(&cfg, &SimOptions { traced: true, ..SimOptions::default() });
         assert_eq!(plain, traced.report);
         assert_eq!(traced.records.len() as u64, plain.completed);
         let trace = traced.trace.expect("trace requested");
@@ -1878,7 +1771,7 @@ mod tests {
         let cfg = ServeConfig::example();
         let mut q35 = cfg.clone();
         q35.service.format = (3, 5);
-        let _ = simulate_scaled(&q35, 1, &cfg.service_models(), None);
+        let _ = simulate_scaled(&q35, &cfg.service_models(), None);
     }
 
     #[test]
@@ -1893,7 +1786,10 @@ mod tests {
     fn health_monitoring_is_observation_only() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let monitored = simulate_monitored(&cfg, &HealthConfig::default());
+        let monitored = simulate_with(
+            &cfg,
+            &SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() },
+        );
         // The acceptance invariant: with wear-leveling off the monitor
         // never perturbs the simulation — bitwise-equal reports.
         assert_eq!(plain, monitored.report);
@@ -1921,7 +1817,14 @@ mod tests {
 
         // The per-op accounting identity: ledger ops equal costed
         // invocations × ops/invocation, summed over the trace's batches.
-        let traced = simulate_traced_monitored(&cfg, &HealthConfig::default());
+        let traced = simulate_with(
+            &cfg,
+            &SimOptions {
+                traced: true,
+                health: Some(HealthConfig::default()),
+                ..SimOptions::default()
+            },
+        );
         let trace = traced.trace.expect("trace requested");
         let health = traced.health.expect("health requested");
         let mut expected = 0u64;
@@ -1996,8 +1899,15 @@ mod tests {
     fn profiled_with_composes_with_trace_and_health() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let hc = HealthConfig::default();
-        let full = simulate_profiled_with(&cfg, true, Some(&hc));
+        let full = simulate_with(
+            &cfg,
+            &SimOptions {
+                traced: true,
+                health: Some(HealthConfig::default()),
+                profiled: true,
+                ..SimOptions::default()
+            },
+        );
         assert_eq!(plain, full.report, "all three observers attached, still bitwise equal");
         let p = full.profile.expect("profile requested");
         assert!(p.wall.stats(phase::TRACE_EMIT).calls > 0);
@@ -2012,9 +1922,9 @@ mod tests {
     #[test]
     fn monitored_runs_replay_bitwise() {
         let cfg = ServeConfig::example();
-        let hc = HealthConfig::default();
-        let a = simulate_monitored(&cfg, &hc);
-        let b = simulate_monitored(&cfg, &hc);
+        let opts = SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() };
+        let a = simulate_with(&cfg, &opts);
+        let b = simulate_with(&cfg, &opts);
         assert_eq!(a.report, b.report);
         assert_eq!(a.health, b.health);
     }
@@ -2026,9 +1936,11 @@ mod tests {
         let mut cfg = ServeConfig::example();
         cfg.fleet = 4;
         cfg.arrival = ArrivalProcess::poisson(5_000.0);
-        let off = simulate_monitored(&cfg, &HealthConfig::default());
-        let on_cfg = HealthConfig { wear_leveling: true, ..HealthConfig::default() };
-        let on = simulate_monitored(&cfg, &on_cfg);
+        let monitored = |health| {
+            simulate_with(&cfg, &SimOptions { health: Some(health), ..SimOptions::default() })
+        };
+        let off = monitored(HealthConfig::default());
+        let on = monitored(HealthConfig { wear_leveling: true, ..HealthConfig::default() });
         let (off_h, on_h) = (off.health.expect("health"), on.health.expect("health"));
         assert!(off_h.wear_skew > on_h.wear_skew, "{} vs {}", off_h.wear_skew, on_h.wear_skew);
         assert!(on_h.wear_leveling);
@@ -2046,8 +1958,8 @@ mod tests {
     #[test]
     fn monitored_telemetry_publishes_health_gauges() {
         let cfg = ServeConfig::example();
-        let (outcome, snap) =
-            star_telemetry::with_scoped(|| simulate_monitored(&cfg, &HealthConfig::default()));
+        let opts = SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() };
+        let (outcome, snap) = star_telemetry::with_scoped(|| simulate_with(&cfg, &opts));
         let health = outcome.health.expect("health");
         for i in 0..cfg.fleet {
             let reads = snap.gauges[&format!("serve.health.i{i}.reads")];
@@ -2062,7 +1974,10 @@ mod tests {
     fn flight_recording_is_observation_only() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let recorded = simulate_flight(&cfg, &crate::flight::FlightConfig::default());
+        let recorded = simulate_with(
+            &cfg,
+            &SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() },
+        );
         // The acceptance invariant: the recorder never perturbs the
         // simulation — bitwise-equal reports.
         assert_eq!(plain, recorded.report);
@@ -2085,9 +2000,20 @@ mod tests {
     fn flight_composes_with_all_observers() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let hc = HealthConfig::default();
-        let fc = crate::flight::FlightConfig::default();
-        let full = simulate_full(&cfg, 1, true, Some(&hc), true, Some(&fc), true);
+        let observed = SimOptions {
+            traced: true,
+            health: Some(HealthConfig::default()),
+            ..SimOptions::default()
+        };
+        let full = simulate_with(
+            &cfg,
+            &SimOptions {
+                profiled: true,
+                flight: Some(FlightConfig::default()),
+                blamed: true,
+                ..observed.clone()
+            },
+        );
         assert_eq!(plain, full.report, "all four observers attached, still bitwise equal");
         // The work counters do not depend on which observers ride along
         // (flight on_event runs inside SAMPLE_HOOKS, not a new phase).
@@ -2098,14 +2024,16 @@ mod tests {
         assert!(full.health.is_some());
         // The trace bytes equal a flight-off run's with the same
         // observers attached.
-        let traced = simulate_traced_monitored(&cfg, &hc).trace.expect("trace");
+        let traced = simulate_with(&cfg, &observed).trace.expect("trace");
         let full_trace = full.trace.expect("trace");
         assert_eq!(
             serde_json::to_string(&full_trace.to_object_json()).expect("trace json"),
             serde_json::to_string(&traced.to_object_json()).expect("trace json"),
         );
         // Flight outcome itself replays bitwise.
-        let again = simulate_flight(&cfg, &fc).flight.expect("flight");
+        let flight_only =
+            SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() };
+        let again = simulate_with(&cfg, &flight_only).flight.expect("flight");
         assert_eq!(full.flight.expect("flight"), again);
     }
 
@@ -2121,11 +2049,8 @@ mod tests {
             deadline_ns: 1e6,
             ..ServeConfig::example()
         };
-        let fc = crate::flight::FlightConfig {
-            queue_depth_threshold: Some(8),
-            ..crate::flight::FlightConfig::default()
-        };
-        let out = simulate_flight(&cfg, &fc);
+        let fc = FlightConfig { queue_depth_threshold: Some(8), ..FlightConfig::default() };
+        let out = simulate_with(&cfg, &SimOptions { flight: Some(fc), ..SimOptions::default() });
         let flight = out.flight.expect("flight requested");
         assert!(flight.triggers_fired > 0, "overload must trip a trigger");
         assert_eq!(flight.incidents.len(), 1, "one incident budgeted");

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use star_serve::{
-    simulate, simulate_sharded_with, simulate_traced, ArrivalProcess, AutoscaleConfig, BatchPolicy,
-    ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, ServeConfig,
-    ServiceModel, ServiceModelConfig, WorkloadMix,
+    simulate, simulate_with, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig,
+    DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, ServeConfig, ServiceModel,
+    ServiceModelConfig, SimOptions, WorkloadMix,
 };
 
 fn class16() -> RequestClass {
@@ -65,7 +65,7 @@ proptest! {
                 autoscale: Some(AutoscaleConfig::new(1, 4)),
                 instance_services: Vec::new(),
             };
-            let outcome = simulate_sharded_with(&cfg, 1, false, None, false);
+            let outcome = simulate_with(&cfg, &SimOptions::default());
             let r = &outcome.report;
             prop_assert_eq!(
                 r.arrivals,
@@ -112,7 +112,7 @@ proptest! {
             dequeue: DequeuePolicy::weighted_fair(vec![(class16(), w), (class32(), 1.0)]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_sharded_with(&cfg, 1, false, None, false);
+        let outcome = simulate_with(&cfg, &SimOptions::default());
         let c = outcome.control.expect("control plane active");
         prop_assert_eq!(c.dequeue.as_str(), "wfq");
         // Attained service per class while contention lasted: each
@@ -166,7 +166,7 @@ proptest! {
             ]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_sharded_with(&cfg, 1, false, None, false);
+        let outcome = simulate_with(&cfg, &SimOptions::default());
         for class in [class16(), class32()] {
             let mut per_class: Vec<_> =
                 outcome.records.iter().filter(|r| r.class == class).collect();
@@ -191,7 +191,7 @@ fn noop_control_is_bitwise_invisible() {
     let cfg = ServeConfig::example();
     assert!(cfg.control.is_noop());
     let plain = simulate(&cfg);
-    let traced = simulate_traced(&cfg);
+    let traced = simulate_with(&cfg, &SimOptions { traced: true, ..SimOptions::default() });
     assert_eq!(plain, traced.report);
     assert!(traced.control.is_none(), "no-op control emits no report");
 }
@@ -207,7 +207,7 @@ fn autoscaler_grows_into_a_burst_and_drains_after() {
     cfg.max_queue = 512;
     cfg.control =
         ControlConfig { autoscale: Some(AutoscaleConfig::new(1, 6)), ..ControlConfig::default() };
-    let outcome = simulate_sharded_with(&cfg, 1, false, None, false);
+    let outcome = simulate_with(&cfg, &SimOptions::default());
     let c = outcome.control.expect("control plane active");
     assert!(c.peak_active > 1, "burst must trigger scale-up: {c:?}");
     assert!(!c.scale_events.is_empty());
@@ -216,6 +216,6 @@ fn autoscaler_grows_into_a_burst_and_drains_after() {
     let static_peak = c.peak_active as f64 * outcome.report.makespan_ns * 1e-9;
     assert!(c.instance_seconds < static_peak, "{} !< {static_peak}", c.instance_seconds);
     // Replay determinism extends to the control report.
-    let again = simulate_sharded_with(&cfg, 1, false, None, false);
+    let again = simulate_with(&cfg, &SimOptions::default());
     assert_eq!(Some(c), again.control);
 }

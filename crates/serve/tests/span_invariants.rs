@@ -3,10 +3,9 @@
 //! byte-determinism of the serialized trace.
 
 use star_serve::{
-    simulate, simulate_profiled, simulate_profiled_with, simulate_traced,
-    simulate_traced_monitored, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, ModelKind,
-    RequestClass, RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig, SloAnalysis,
-    SloPolicy, WorkloadMix,
+    simulate, simulate_profiled, simulate_with, ArrivalProcess, BatchPolicy, ControlConfig,
+    HealthConfig, ModelKind, RequestClass, RequestOutcome, ServeConfig, ServeTrace,
+    ServiceModelConfig, SimOptions, SimOutcome, SloAnalysis, SloPolicy, WorkloadMix,
 };
 use star_telemetry::SPAN_EPS_NS;
 
@@ -31,16 +30,27 @@ fn stress_config() -> ServeConfig {
     }
 }
 
+/// Runs `cfg` with the trace attached.
+fn traced(cfg: &ServeConfig) -> SimOutcome {
+    simulate_with(cfg, &SimOptions { traced: true, ..SimOptions::default() })
+}
+
+/// Runs `cfg` with the trace and the default health monitor attached.
+fn traced_monitored(cfg: &ServeConfig) -> SimOutcome {
+    let health = Some(HealthConfig::default());
+    simulate_with(cfg, &SimOptions { traced: true, health, ..SimOptions::default() })
+}
+
 #[test]
 fn every_span_tree_is_valid() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace requested");
     trace.validate().expect("all request and batch span trees satisfy the invariants");
 }
 
 #[test]
 fn root_span_conservation() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace requested");
     let r = &outcome.report;
     // Exactly one closed root span per arrival …
@@ -65,7 +75,7 @@ fn root_span_conservation() {
 
 #[test]
 fn span_durations_reconcile_with_lifecycle_records() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace requested");
     for rec in &outcome.records {
         let t = trace
@@ -96,8 +106,8 @@ fn span_durations_reconcile_with_lifecycle_records() {
 #[test]
 fn same_seed_trace_json_is_byte_identical() {
     let cfg = stress_config();
-    let a = simulate_traced(&cfg).trace.expect("trace");
-    let b = simulate_traced(&cfg).trace.expect("trace");
+    let a = traced(&cfg).trace.expect("trace");
+    let b = traced(&cfg).trace.expect("trace");
     let ja = serde_json::to_string(&a.to_object_json()).expect("serialize");
     let jb = serde_json::to_string(&b.to_object_json()).expect("serialize");
     assert_eq!(ja, jb, "same-seed traces must serialize to identical bytes");
@@ -105,7 +115,7 @@ fn same_seed_trace_json_is_byte_identical() {
     // vacuous).
     let mut other = cfg;
     other.seed ^= 1;
-    let jc = serde_json::to_string(&simulate_traced(&other).trace.expect("trace").to_object_json())
+    let jc = serde_json::to_string(&traced(&other).trace.expect("trace").to_object_json())
         .expect("serialize");
     assert_ne!(ja, jc);
 }
@@ -115,13 +125,13 @@ fn tracing_never_perturbs_the_simulation() {
     for seed in [1u64, 7, 42] {
         let mut cfg = stress_config();
         cfg.seed = seed;
-        assert_eq!(simulate(&cfg), simulate_traced(&cfg).report, "seed {seed}");
+        assert_eq!(simulate(&cfg), traced(&cfg).report, "seed {seed}");
     }
 }
 
 #[test]
 fn slo_analysis_agrees_with_report() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace");
     let r = &outcome.report;
     let a = SloAnalysis::from_trace(&trace, SloPolicy::default(), 10);
@@ -145,7 +155,7 @@ fn health_trace_round_trips_byte_identical() {
     // to the *same bytes* — the invariant the CI legs additionally diff
     // across STAR_EXEC_THREADS={1,8} processes.
     let cfg = stress_config();
-    let outcome = simulate_traced_monitored(&cfg, &HealthConfig::default());
+    let outcome = traced_monitored(&cfg);
     let trace = outcome.trace.expect("trace requested");
     assert!(!trace.health.is_empty(), "monitored run samples fleet health");
     for h in &trace.health {
@@ -164,7 +174,7 @@ fn health_trace_round_trips_byte_identical() {
     // Monitoring never perturbed the traced simulation either.
     assert_eq!(outcome.report, simulate(&cfg), "monitored trace run bitwise equals plain run");
     // Same-seed monitored traces are byte-stable across reruns.
-    let again = simulate_traced_monitored(&cfg, &HealthConfig::default());
+    let again = traced_monitored(&cfg);
     let again_bytes =
         serde_json::to_string(&again.trace.expect("trace").to_object_json()).expect("serialize");
     assert_eq!(bytes, again_bytes);
@@ -173,9 +183,9 @@ fn health_trace_round_trips_byte_identical() {
 #[test]
 fn health_report_consistent_between_traced_and_untraced() {
     let cfg = stress_config();
-    let hc = HealthConfig::default();
-    let untraced = star_serve::simulate_monitored(&cfg, &hc);
-    let traced = simulate_traced_monitored(&cfg, &hc);
+    let health = Some(HealthConfig::default());
+    let untraced = simulate_with(&cfg, &SimOptions { health, ..SimOptions::default() });
+    let traced = traced_monitored(&cfg);
     assert_eq!(untraced.report, traced.report);
     assert_eq!(untraced.health, traced.health, "health report independent of tracing");
 }
@@ -195,10 +205,13 @@ fn profiling_never_perturbs_report_or_trace_bytes() {
         assert_eq!(plain, profiled.report, "seed {seed}: profiled report diverged");
         assert!(profiled.profile.is_some());
 
-        let traced = simulate_traced(&cfg);
-        let traced_profiled = simulate_profiled_with(&cfg, true, None);
-        assert_eq!(traced.report, traced_profiled.report, "seed {seed}");
-        let ja = serde_json::to_string(&traced.trace.expect("trace").to_object_json())
+        let trace_only = traced(&cfg);
+        let traced_profiled = simulate_with(
+            &cfg,
+            &SimOptions { traced: true, profiled: true, ..SimOptions::default() },
+        );
+        assert_eq!(trace_only.report, traced_profiled.report, "seed {seed}");
+        let ja = serde_json::to_string(&trace_only.trace.expect("trace").to_object_json())
             .expect("serialize");
         let jb = serde_json::to_string(&traced_profiled.trace.expect("trace").to_object_json())
             .expect("serialize");
@@ -215,9 +228,13 @@ fn profiled_work_counters_are_seed_stable_and_trace_independent() {
     let solo = simulate_profiled(&cfg).profile.expect("profile");
     let replay = simulate_profiled(&cfg).profile.expect("profile");
     assert_eq!(solo.work, replay.work, "replay must reproduce counters exactly");
-    let observed = simulate_profiled_with(&cfg, true, Some(&HealthConfig::default()))
-        .profile
-        .expect("profile");
+    let all = SimOptions {
+        traced: true,
+        health: Some(HealthConfig::default()),
+        profiled: true,
+        ..SimOptions::default()
+    };
+    let observed = simulate_with(&cfg, &all).profile.expect("profile");
     assert_eq!(solo.work, observed.work, "observers must not change work counters");
     // JSON round-trip of the deterministic half is byte-stable (the
     // property the golden fixture in star-bench pins).
@@ -229,7 +246,7 @@ fn profiled_work_counters_are_seed_stable_and_trace_independent() {
 #[test]
 fn queue_and_busy_samples_bound_by_config() {
     let cfg = stress_config();
-    let trace = simulate_traced(&cfg).trace.expect("trace");
+    let trace = traced(&cfg).trace.expect("trace");
     assert!(!trace.samples.is_empty());
     for pair in trace.samples.windows(2) {
         assert!(pair[0].t_ns < pair[1].t_ns, "one sample per distinct event time");

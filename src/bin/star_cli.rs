@@ -34,8 +34,7 @@ COMMANDS:
                                    utilization summary goes to stderr
     metrics <format> [seq]         run a representative softmax workload and
                                    print the telemetry counter/gauge table
-    serve [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
-          [--flight[=PATH]]
+    serve [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--flight[=PATH]]
                                    simulate a fleet of STAR instances serving
                                    Poisson BERT-base/128 traffic against a
                                    2 ms SLO and print the goodput/latency
@@ -45,18 +44,14 @@ COMMANDS:
                                    queue/utilization counter tracks as
                                    Perfetto-loadable JSON (default path
                                    serve_trace.json) and print the SLO
-                                   burn-rate analysis. --shards=N runs the
-                                   event loop on N event-queue shards
-                                   (1..=64; output is bitwise identical at
-                                   any shard count — engine choice only).
-                                   --flight arms the always-on incident
-                                   flight recorder (bounded event ring +
-                                   deterministic triggers: SLO burn,
-                                   expiry burst, queue depth); when a
-                                   trigger fires the captured window and
-                                   a root-cause report are written as
-                                   Perfetto-loadable JSON (default path
-                                   flight_incident.json)
+                                   burn-rate analysis. --flight arms the
+                                   always-on incident flight recorder
+                                   (bounded event ring + deterministic
+                                   triggers: SLO burn, expiry burst,
+                                   queue depth); when a trigger fires
+                                   the captured window and a root-cause
+                                   report are written as Perfetto-loadable
+                                   JSON (default path flight_incident.json)
     trace-analyze <file> [k]       re-analyze a `serve --trace` file:
                                    availability, burn-rate windows,
                                    time-to-first-violation, per-class
@@ -78,7 +73,7 @@ COMMANDS:
                                    projection (time to first degradation,
                                    lifetime inferences). --level enables
                                    round-robin wear-leveling placement
-    profile [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
+    profile [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
                                    run the serve simulation with the
                                    simulator self-profiler: deterministic
                                    work counters (events, heap traffic,
@@ -86,12 +81,9 @@ COMMANDS:
                                    plus the wall-clock top-phases table.
                                    With --trace, also write a Chrome
                                    meta-trace of the simulator's own time
-                                   (default path profile_trace.json).
-                                   --shards=N as in serve — the work
-                                   counters prove the shard count changes
-                                   nothing
+                                   (default path profile_trace.json)
     control [rate] [fleet] [batch] [window_us] [--policy=P] [--placement=P]
-            [--autoscale=MIN:MAX|off] [--shards=N]
+            [--autoscale=MIN:MAX|off]
                                    run the fleet control plane on the mixed
                                    70/30 premium/economy workload under a
                                    bursty MMPP ramp (low phase = rate,
@@ -106,7 +98,7 @@ COMMANDS:
                                    fleet (default 1:4, `off` pins it).
                                    Defaults: 8000 rps low phase, fleet 1,
                                    batch 8, 50 us window, wfq/least-loaded
-    blame [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
+    blame [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
                                    run the serve simulation with the
                                    critical-path blame recorder: every
                                    request's latency split into causally
@@ -122,7 +114,7 @@ COMMANDS:
                                    blame_trace.json). Blame is pure
                                    observation: the report is bitwise
                                    identical to an unblamed run
-    whatif [rate] [fleet] [batch] [window_us] [--shards=N]
+    whatif [rate] [fleet] [batch] [window_us]
                                    deterministic what-if profiling: re-run
                                    the same seeded workload under each
                                    standard intervention (halve each
@@ -335,15 +327,6 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the value of a `--shards=N` flag: 1..=`MAX_SHARDS`.
-fn parse_shards(text: &str) -> Result<usize, String> {
-    let n: usize = text.parse().map_err(|_| format!("`{text}` is not a shard count"))?;
-    if !(1..=star::serve::MAX_SHARDS).contains(&n) {
-        return Err(format!("shard count must be in 1..={}", star::serve::MAX_SHARDS));
-    }
-    Ok(n)
-}
-
 /// Most arrivals a serve-family command simulates: the expected count
 /// over its fixed 100 ms horizon. At the cap a `serve` run takes about a
 /// second on a 2-vCPU machine; past it, run time and the arrival trace
@@ -392,13 +375,12 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_full, FlightConfig, ServiceModel, SloAnalysis, SloPolicy,
+        simulate_with, FlightConfig, ServiceModel, SimOptions, SloAnalysis, SloPolicy,
     };
-    // Split flags from positionals so --trace/--flight/--shards compose
-    // with every positional combination.
+    // Split flags from positionals so --trace/--flight compose with
+    // every positional combination.
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut flight_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -415,8 +397,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 return Err("--flight= needs a path".into());
             }
             flight_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -426,12 +406,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cfg = serve_point_config(&positional)?;
     let (class, fleet) = (cfg.mix.classes()[0], cfg.fleet);
     let service = ServiceModel::new(cfg.service.clone(), &[class]);
-    // --shards picks the event-queue layout; the report is bitwise
-    // identical at any count, so this is an engine choice, not a knob.
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let flight_cfg = flight_path.is_some().then(FlightConfig::default);
-    let outcome =
-        simulate_full(&cfg, shards, trace_path.is_some(), None, false, flight_cfg.as_ref(), false);
+    let opts = SimOptions {
+        traced: trace_path.is_some(),
+        flight: flight_path.is_some().then(FlightConfig::default),
+        ..SimOptions::default()
+    };
+    let outcome = simulate_with(&cfg, &opts);
     let (r, trace, flight) = (outcome.report, outcome.trace, outcome.flight);
 
     println!("serving {class} on {fleet} STAR instance(s), policy {}:", cfg.policy);
@@ -505,7 +485,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
+    use star::serve::{simulate_with, HealthConfig, HealthModel, SimOptions, WearRates};
     let mut wear_leveling = false;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
@@ -520,7 +500,10 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
     let cfg = serve_point_config(&positional)?;
     let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
-    let outcome = simulate_monitored(&cfg, &health_cfg);
+    let outcome = simulate_with(
+        &cfg,
+        &SimOptions { health: Some(health_cfg.clone()), ..SimOptions::default() },
+    );
     let r = &outcome.report;
     let health = outcome.health.as_ref().expect("monitored run reports fleet health");
 
@@ -597,9 +580,7 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use star::serve::{shards_from_env, simulate_sharded_with};
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -609,8 +590,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 return Err("--trace= needs a path".into());
             }
             trace_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -619,8 +598,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     let cfg = serve_point_config(&positional)?;
     let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_sharded_with(&cfg, shards, false, None, true);
+    let outcome = star::serve::simulate_profiled(&cfg);
     let r = &outcome.report;
     let profile = outcome.profile.as_ref().expect("profiled run carries a profile");
 
@@ -653,9 +631,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_control(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_sharded_with, ArrivalProcess, AutoscaleConfig, BatchPolicy,
-        ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, ScaleDirection,
-        ServeConfig, ServiceModelConfig, WorkloadMix,
+        simulate_with, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig, DequeuePolicy,
+        ModelKind, PlacementPolicy, RequestClass, ScaleDirection, ServeConfig, ServiceModelConfig,
+        SimOptions, WorkloadMix,
     };
     let premium = RequestClass::new(ModelKind::BertBase, 128);
     let economy = RequestClass::new(ModelKind::BertBase, 64);
@@ -663,7 +641,6 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     let mut policy_flag: Option<&str> = None;
     let mut placement_flag: Option<&str> = None;
     let mut autoscale_flag: Option<&str> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if let Some(p) = a.strip_prefix("--policy=") {
@@ -672,8 +649,6 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
             placement_flag = Some(p);
         } else if let Some(p) = a.strip_prefix("--autoscale=") {
             autoscale_flag = Some(p);
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -745,8 +720,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         control: ControlConfig { dequeue, placement, autoscale, instance_services: Vec::new() },
     };
     check_serve_bounds(&cfg)?;
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_sharded_with(&cfg, shards, false, None, false);
+    let outcome = simulate_with(&cfg, &SimOptions::default());
     let r = &outcome.report;
 
     println!(
@@ -856,9 +830,8 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
 }
 
 fn cmd_blame(args: &[String]) -> Result<(), String> {
-    use star::serve::{shards_from_env, simulate_full, BLAME_SIDECAR_KEY};
+    use star::serve::{simulate_blamed, BLAME_SIDECAR_KEY};
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -868,8 +841,6 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
                 return Err("--trace= needs a path".into());
             }
             trace_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -877,8 +848,7 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
         }
     }
     let cfg = serve_point_config(&positional)?;
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_full(&cfg, shards, false, None, false, None, true);
+    let outcome = simulate_blamed(&cfg);
     let r = &outcome.report;
     let blame = outcome.blame.as_ref().expect("blamed run carries blame tables");
 
@@ -909,21 +879,17 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_whatif(args: &[String]) -> Result<(), String> {
-    use star::serve::{run_what_ifs, shards_from_env, WhatIf};
-    let mut shards: Option<usize> = None;
+    use star::serve::{run_what_ifs, WhatIf};
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
-        if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
-        } else if a.starts_with("--") {
+        if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
             positional.push(a);
         }
     }
     let cfg = serve_point_config(&positional)?;
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let report = run_what_ifs(&cfg, shards, &WhatIf::standard());
+    let report = run_what_ifs(&cfg, 1, &WhatIf::standard());
 
     println!(
         "what-if profile: {} on {} STAR instance(s), policy {} — each row is the \
@@ -1275,21 +1241,40 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_profile_accept_shard_counts() {
-        cmd_serve(&["8000".into(), "1".into(), "--shards=4".into()]).expect("serve sharded");
-        cmd_profile(&["8000".into(), "1".into(), "--shards=8".into()]).expect("profile sharded");
+    fn serve_family_rejects_shard_flag() {
+        // An old sharded invocation must fail loudly, not be silently
+        // ignored, on every command that once took `--shards=N`.
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let commands: [(&str, Cmd); 5] = [
+            ("serve", cmd_serve),
+            ("profile", cmd_profile),
+            ("control", cmd_control),
+            ("blame", cmd_blame),
+            ("whatif", cmd_whatif),
+        ];
+        for (name, cmd) in commands {
+            let err = cmd(&["8000".into(), "1".into(), "--shards=4".into()]).expect_err(name);
+            assert_eq!(err, "unknown flag `--shards=4`", "{name}");
+        }
     }
 
     #[test]
-    fn shard_flag_rejects_bad_counts() {
-        assert_eq!(parse_shards("1").unwrap(), 1);
-        assert_eq!(parse_shards("64").unwrap(), star::serve::MAX_SHARDS);
-        assert!(parse_shards("0").is_err());
-        assert!(parse_shards("65").is_err());
-        assert!(parse_shards("eight").is_err());
-        assert!(cmd_serve(&["--shards=0".into()]).is_err());
-        assert!(cmd_serve(&["--shards=".into()]).is_err());
-        assert!(cmd_profile(&["--shards=999".into()]).is_err());
+    fn shard_flag_is_rejected_for_every_value() {
+        // No shard-count range is left to check: counts that were once
+        // valid and once out of range are the same unknown-flag error.
+        for flag in [
+            "--shards=1",
+            "--shards=64",
+            "--shards=0",
+            "--shards=65",
+            "--shards=eight",
+            "--shards=",
+        ] {
+            let err = cmd_serve(&[flag.into()]).expect_err(flag);
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+            let err = cmd_profile(&[flag.into()]).expect_err(flag);
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
@@ -1342,7 +1327,6 @@ mod tests {
         }
         cmd_control(&["--autoscale=2:3".into()]).expect("control bounded");
         cmd_control(&["--autoscale=off".into()]).expect("control static");
-        cmd_control(&["--shards=4".into()]).expect("control sharded");
         // Every knob at its no-op default: the baseline path, no report.
         cmd_control(&[
             "--policy=fifo".into(),
@@ -1367,14 +1351,13 @@ mod tests {
         assert!(cmd_control(&["--autoscale=0:4".into()]).is_err());
         assert!(cmd_control(&["--autoscale=4:1".into()]).is_err());
         assert!(cmd_control(&["--autoscale=a:b".into()]).is_err());
-        assert!(cmd_control(&["--shards=0".into()]).is_err());
+        assert!(cmd_control(&["--shards=4".into()]).is_err());
     }
 
     #[test]
     fn blame_command_runs() {
         cmd_blame(&[]).expect("blame defaults");
         cmd_blame(&["8000".into(), "1".into(), "1".into(), "0".into()]).expect("blame explicit");
-        cmd_blame(&["8000".into(), "1".into(), "--shards=4".into()]).expect("blame sharded");
     }
 
     #[test]
@@ -1386,14 +1369,13 @@ mod tests {
         assert!(cmd_blame(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
         assert!(cmd_blame(&["inf".into()]).is_err());
         assert!(cmd_blame(&["--trace=".into()]).is_err());
-        assert!(cmd_blame(&["--shards=0".into()]).is_err());
+        assert!(cmd_blame(&["--shards=4".into()]).is_err());
         assert!(cmd_blame(&["--bogus".into()]).is_err());
     }
 
     #[test]
     fn whatif_command_runs() {
         cmd_whatif(&["8000".into(), "1".into(), "4".into(), "50".into()]).expect("whatif explicit");
-        cmd_whatif(&["8000".into(), "1".into(), "--shards=4".into()]).expect("whatif sharded");
     }
 
     #[test]
@@ -1404,7 +1386,7 @@ mod tests {
         assert!(cmd_whatif(&["8000".into(), "1".into(), "0".into()]).is_err());
         assert!(cmd_whatif(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
         assert!(cmd_whatif(&["inf".into()]).is_err());
-        assert!(cmd_whatif(&["--shards=0".into()]).is_err());
+        assert!(cmd_whatif(&["--shards=4".into()]).is_err());
         assert!(cmd_whatif(&["--trace".into()]).is_err());
     }
 
