@@ -202,7 +202,7 @@ pub const A9_HORIZONS: [(&str, f64); 5] = [
 /// case order, so the result and its telemetry sidecar are byte-identical
 /// for any `STAR_EXEC_THREADS`.
 pub fn a9_device_health_result() -> serde_json::Value {
-    use star_serve::{simulate_with, HealthConfig, HealthModel, SimOptions, WearRates};
+    use star_serve::{simulate_with, HealthModel, SimOptions, WearRates};
     let (base, health_cfg, cases) = a9_device_health_cases();
     let monitored = SimOptions { health: Some(health_cfg.clone()), ..SimOptions::default() };
     let exec = star_exec::Executor::from_env();
@@ -256,10 +256,10 @@ pub fn a9_device_health_result() -> serde_json::Value {
     // Wear-leveling on/off at the light load point, where the default
     // lowest-index placement concentrates wear on instance 0. Leveling
     // only permutes placement: the ServeReport must stay identical.
-    let light_cfg = cases[0].config.clone();
+    let mut leveled = cases[0].config.clone();
+    leveled.control.placement = star_serve::PlacementPolicy::RoundRobin;
     let off = &outcomes[0];
-    let leveled = HealthConfig { wear_leveling: true, ..health_cfg.clone() };
-    let on = simulate_with(&light_cfg, &SimOptions { health: Some(leveled), ..monitored });
+    let on = simulate_with(&leveled, &monitored);
     let off_health = off.health.as_ref().expect("health");
     let on_health = on.health.as_ref().expect("health");
     // Leveling only permutes which instance runs a batch: every

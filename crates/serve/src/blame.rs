@@ -12,13 +12,13 @@
 //!   for more members before the batch was dispatchable;
 //! - **busy** — the chosen instance was still draining its *previous*
 //!   invocation (the blocking edge the chain analysis follows);
-//! - the five [`InvocationPhases`] — `overhead`, `projection`,
+//! - the five [`InvocationPhases`](crate::InvocationPhases) — `overhead`, `projection`,
 //!   `qk_fill`, `softmax_stream`, `av_drain` — once on hardware.
 //!
 //! # Conservation identity
 //!
 //! The eight components sum **bitwise** to the end-to-end latency. The
-//! same residual discipline as [`ServiceModel::invocation_phases`]
+//! same residual discipline as [`crate::ServiceModel::invocation_phases`]
 //! (PR 4) makes that exact rather than approximate: `av_drain` is
 //! computed as `latency − analytic` with `analytic` accumulated in the
 //! *same left-associated grouping* [`RequestBlame::components_sum`]
@@ -61,10 +61,12 @@
 
 use crate::control::PlacementPolicy;
 use crate::flight::row_from_content;
-use crate::model::{InvocationPhases, ServicePhase};
-use crate::request::{Request, RequestClass};
-use crate::sim::{simulate_scaled, ServeConfig};
+use crate::model::ServicePhase;
+use crate::observer::{BatchDone, Finish, Observer, Terminal};
+use crate::request::RequestClass;
+use crate::sim::{simulate_scaled, ServeConfig, SimOutcome};
 use crate::slo::ServeReport;
+use crate::trace::RequestOutcome;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use star_telemetry::ChromeTrace;
@@ -384,7 +386,7 @@ pub struct BlameReport {
     pub per_instance: Vec<InstanceBlame>,
     /// Victim-class × blocker-class busy-wait matrix, class order.
     pub blocking: Vec<BlockedPair>,
-    /// Top-[`TOP_CHAINS`] maximal blocking chains by accumulated wait.
+    /// The top five maximal blocking chains by accumulated wait.
     pub chains: Vec<BlockingChain>,
 }
 
@@ -532,7 +534,7 @@ impl BlameOutcome {
 /// The blame observer the simulator drives: one call per completed
 /// batch (plus terminal counts), zero RNG draws, no event arithmetic.
 #[derive(Debug)]
-pub struct BlameRecorder {
+pub(crate) struct BlameRecorder {
     classes: Vec<RequestClass>,
     window_ns: f64,
     dequeue: String,
@@ -570,115 +572,8 @@ impl BlameRecorder {
         self.classes.iter().position(|&c| c == class).map_or(-1, |i| i as i16)
     }
 
-    /// A rejected arrival (admission refused; nothing to decompose).
-    pub fn on_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
-    /// A deadline-expired drop at dispatch after `wait_ns` of futile
-    /// queueing.
-    pub fn on_expired(&mut self, wait_ns: f64) {
-        self.expired += 1;
-        self.expired_wait_ns += wait_ns;
-    }
-
-    /// One completed invocation: decomposes every member's latency.
-    /// Called from the simulator's `InstanceFree` handler in completion
-    /// order, before the members are consumed.
-    pub fn on_batch(
-        &mut self,
-        instance: usize,
-        class: RequestClass,
-        dispatch_ns: f64,
-        done_ns: f64,
-        members: &[Request],
-        phases: &InvocationPhases,
-    ) {
-        debug_assert!(!members.is_empty(), "batches are never empty");
-        let instance = instance as u32;
-        let bid = self.batches.len() as u64;
-        let rank = self.rank(class);
-        let mut first_arrive = f64::INFINITY;
-        let mut last_arrive = f64::NEG_INFINITY;
-        for r in members {
-            first_arrive = first_arrive.min(r.arrive_ns);
-            last_arrive = last_arrive.max(r.arrive_ns);
-        }
-        // When the membership first became dispatchable: the arrival
-        // that completed it, or the head's window expiry — whichever
-        // came first — never later than the dispatch itself.
-        let ready_ns = last_arrive.min(first_arrive + self.window_ns).min(dispatch_ns);
-        let prev = self.last_done.get(&instance).copied();
-        // The instance stopped being the bottleneck when its previous
-        // invocation drained (clamped to the dispatch: any later wait
-        // is the scheduler's, not the instance's).
-        let busy_end_ns = prev.map_or(f64::NEG_INFINITY, |(_, done)| done).min(dispatch_ns);
-        let busy_wait_ns = (busy_end_ns - ready_ns).max(0.0);
-        let blocker = match prev {
-            Some((prev_bid, _)) if busy_wait_ns > 0.0 => prev_bid as i64,
-            _ => -1,
-        };
-        for r in members {
-            // Same float ops as the simulator's own latency / queue
-            // bookkeeping — the totals being attributed are *its*
-            // totals, not recomputations.
-            let latency_ns = done_ns - r.arrive_ns;
-            let queue_ns = dispatch_ns - r.arrive_ns;
-            let hold_ns = (ready_ns - r.arrive_ns).max(0.0);
-            let busy_ns = (busy_end_ns - r.arrive_ns.max(ready_ns)).max(0.0);
-            // Exact queue-side residual: whatever the hold and the
-            // instance don't explain was spent queued behind other
-            // ready work.
-            let admission_ns = (queue_ns - hold_ns) - busy_ns;
-            let member_blocker = if busy_ns > 0.0 { blocker } else { -1 };
-            // Service-side residual, same grouping as
-            // `components_sum` — the Sterbenz discipline that makes
-            // the eight components recompose to `latency_ns` bitwise.
-            let analytic = (((((admission_ns + hold_ns) + busy_ns) + phases.overhead_ns)
-                + phases.projection_ns)
-                + phases.qk_fill_ns)
-                + phases.softmax_stream_ns;
-            let av_drain_ns = latency_ns - analytic;
-            let row = RequestBlame {
-                id: r.id,
-                class: rank,
-                arrive_ns: r.arrive_ns,
-                latency_ns,
-                admission_ns,
-                hold_ns,
-                busy_ns,
-                overhead_ns: phases.overhead_ns,
-                projection_ns: phases.projection_ns,
-                qk_fill_ns: phases.qk_fill_ns,
-                softmax_stream_ns: phases.softmax_stream_ns,
-                av_drain_ns,
-                instance,
-                batch: bid,
-                blocker: member_blocker,
-            };
-            debug_assert_eq!(
-                row.components_sum(),
-                row.latency_ns,
-                "blame components must recompose bitwise"
-            );
-            self.requests.push(row);
-        }
-        self.batches.push(BatchBlame {
-            id: bid,
-            class: rank,
-            instance,
-            size: members.len() as u32,
-            ready_ns,
-            dispatch_ns,
-            done_ns,
-            busy_wait_ns,
-            blocker,
-        });
-        self.last_done.insert(instance, (bid, done_ns));
-    }
-
     /// Aggregates the tables into the fleet-wide report.
-    pub fn finalize(self) -> BlameOutcome {
+    fn finalize(self) -> BlameOutcome {
         let BlameRecorder {
             classes,
             window_ns,
@@ -795,6 +690,111 @@ impl BlameRecorder {
             chains,
         };
         BlameOutcome { classes, report, requests, batches }
+    }
+}
+
+impl Observer for BlameRecorder {
+    /// One completed invocation: decomposes every member's latency.
+    fn on_batch_done(&mut self, b: &BatchDone<'_>) {
+        let BatchDone { instance, class, dispatch_ns, done_ns, members, ref phases } = *b;
+        debug_assert!(!members.is_empty(), "batches are never empty");
+        let instance = instance as u32;
+        let bid = self.batches.len() as u64;
+        let rank = self.rank(class);
+        let mut first_arrive = f64::INFINITY;
+        let mut last_arrive = f64::NEG_INFINITY;
+        for r in members {
+            first_arrive = first_arrive.min(r.arrive_ns);
+            last_arrive = last_arrive.max(r.arrive_ns);
+        }
+        // When the membership first became dispatchable: the arrival
+        // that completed it, or the head's window expiry — whichever
+        // came first — never later than the dispatch itself.
+        let ready_ns = last_arrive.min(first_arrive + self.window_ns).min(dispatch_ns);
+        let prev = self.last_done.get(&instance).copied();
+        // The instance stopped being the bottleneck when its previous
+        // invocation drained (clamped to the dispatch: any later wait
+        // is the scheduler's, not the instance's).
+        let busy_end_ns = prev.map_or(f64::NEG_INFINITY, |(_, done)| done).min(dispatch_ns);
+        let busy_wait_ns = (busy_end_ns - ready_ns).max(0.0);
+        let blocker = match prev {
+            Some((prev_bid, _)) if busy_wait_ns > 0.0 => prev_bid as i64,
+            _ => -1,
+        };
+        for r in members {
+            // Same float ops as the simulator's own latency / queue
+            // bookkeeping — the totals being attributed are *its*
+            // totals, not recomputations.
+            let latency_ns = done_ns - r.arrive_ns;
+            let queue_ns = dispatch_ns - r.arrive_ns;
+            let hold_ns = (ready_ns - r.arrive_ns).max(0.0);
+            let busy_ns = (busy_end_ns - r.arrive_ns.max(ready_ns)).max(0.0);
+            // Exact queue-side residual: whatever the hold and the
+            // instance don't explain was spent queued behind other
+            // ready work.
+            let admission_ns = (queue_ns - hold_ns) - busy_ns;
+            let member_blocker = if busy_ns > 0.0 { blocker } else { -1 };
+            // Service-side residual, same grouping as
+            // `components_sum` — the Sterbenz discipline that makes
+            // the eight components recompose to `latency_ns` bitwise.
+            let analytic = (((((admission_ns + hold_ns) + busy_ns) + phases.overhead_ns)
+                + phases.projection_ns)
+                + phases.qk_fill_ns)
+                + phases.softmax_stream_ns;
+            let av_drain_ns = latency_ns - analytic;
+            let row = RequestBlame {
+                id: r.id,
+                class: rank,
+                arrive_ns: r.arrive_ns,
+                latency_ns,
+                admission_ns,
+                hold_ns,
+                busy_ns,
+                overhead_ns: phases.overhead_ns,
+                projection_ns: phases.projection_ns,
+                qk_fill_ns: phases.qk_fill_ns,
+                softmax_stream_ns: phases.softmax_stream_ns,
+                av_drain_ns,
+                instance,
+                batch: bid,
+                blocker: member_blocker,
+            };
+            debug_assert_eq!(
+                row.components_sum(),
+                row.latency_ns,
+                "blame components must recompose bitwise"
+            );
+            self.requests.push(row);
+        }
+        self.batches.push(BatchBlame {
+            id: bid,
+            class: rank,
+            instance,
+            size: members.len() as u32,
+            ready_ns,
+            dispatch_ns,
+            done_ns,
+            busy_wait_ns,
+            blocker,
+        });
+        self.last_done.insert(instance, (bid, done_ns));
+    }
+
+    /// Rejected and expired requests only count (expiries with their
+    /// futile queue wait); completions are decomposed with their batch.
+    fn on_terminal(&mut self, t: &Terminal) {
+        match t.outcome {
+            RequestOutcome::Rejected => self.rejected += 1,
+            RequestOutcome::Expired => {
+                self.expired += 1;
+                self.expired_wait_ns += t.finish_ns - t.arrive_ns;
+            }
+            RequestOutcome::Good | RequestOutcome::Late => {}
+        }
+    }
+
+    fn finish(self: Box<Self>, _end: &Finish<'_>, out: &mut SimOutcome) {
+        out.blame = Some(self.finalize());
     }
 }
 

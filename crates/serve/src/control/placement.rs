@@ -6,9 +6,10 @@
 //! [`crate::ServiceModelConfig`]s mixing, say, q5.3 and q3.5 engines —
 //! make it a real one: the same batch has different latency and energy
 //! on different instances. Every policy below is deterministic (ties
-//! break to the lowest instance index) and consumes zero RNG draws; the
-//! health monitor's wear-leveling cursor, when enabled, keeps precedence
-//! over all of them (it is the documented placement override).
+//! break to the lowest instance index) and consumes zero RNG draws.
+//! [`PlacementPolicy::RoundRobin`] levels wear on homogeneous fleets too:
+//! it spreads invocations across the fleet, so the health monitor's
+//! per-instance ledgers even out (the A9 wear-leveling rows).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -30,6 +31,10 @@ pub enum PlacementPolicy {
     /// The idle instance with the lowest invocation energy for this
     /// batch (ties to the lowest index).
     EnergyGreedy,
+    /// The first idle instance at or after a cursor, wrapping; the
+    /// cursor then moves past the pick. Independent of wear magnitudes,
+    /// so placement never feeds back through float arithmetic.
+    RoundRobin,
 }
 
 impl PlacementPolicy {
@@ -40,6 +45,7 @@ impl PlacementPolicy {
             PlacementPolicy::FastestEligible => "fastest_eligible",
             PlacementPolicy::LeastLoaded => "least_loaded",
             PlacementPolicy::EnergyGreedy => "energy_greedy",
+            PlacementPolicy::RoundRobin => "round_robin",
         }
     }
 }
@@ -67,6 +73,7 @@ mod tests {
             PlacementPolicy::FastestEligible,
             PlacementPolicy::LeastLoaded,
             PlacementPolicy::EnergyGreedy,
+            PlacementPolicy::RoundRobin,
         ] {
             let json = serde_json::to_string(&p).expect("serialize");
             let back: PlacementPolicy = serde_json::from_str(&json).expect("parse");

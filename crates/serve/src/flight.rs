@@ -41,8 +41,8 @@
 //! The first firing freezes the ring contents as the pre-incident
 //! window; recording continues until the first event past
 //! [`FlightConfig::post_trigger_ns`] (or the drain), then the incident
-//! is sealed. [`FlightRecorder::finalize`] attributes root cause from
-//! the captured window — see [`IncidentReport`].
+//! is sealed. When the run ends, the recorder attributes root cause
+//! from each captured window — see [`IncidentReport`].
 //!
 //! # Determinism
 //!
@@ -53,7 +53,9 @@
 //! suite and CI pin both).
 
 use crate::model::ServiceModel;
+use crate::observer::{Finish, Observer, Sample, Terminal};
 use crate::request::RequestClass;
+use crate::sim::SimOutcome;
 use crate::slo::{BurnSweep, BurnWindow};
 use crate::trace::RequestOutcome;
 use serde::{Deserialize, Serialize};
@@ -508,15 +510,9 @@ impl LatencyWaterfall {
             + self.batch_window_ms
             + self.overhead_ms
             + self.projection_ms
-            + self.qk_fill_ns_alias()
+            + self.qk_fill_ms
             + self.softmax_stream_ms
             + self.av_drain_ms
-    }
-
-    // Named helper so the sum above stays greppable against the field
-    // list (qk_fill is the one phase whose name differs from its unit).
-    fn qk_fill_ns_alias(&self) -> f64 {
-        self.qk_fill_ms
     }
 }
 
@@ -756,75 +752,6 @@ impl FlightOutcome {
     }
 }
 
-/// One event as the simulator hands it to the recorder (the recorder
-/// cannot see the private event enum, so the loop lowers each event to
-/// this view before dispatching it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventView {
-    /// Event kind tag.
-    pub kind: FlightEventKind,
-    /// Request class of an arrive / window-expire / instance-free event.
-    pub class: Option<RequestClass>,
-    /// Instance of an instance-free event.
-    pub instance: Option<usize>,
-    /// Batch size of an instance-free event.
-    pub batch_size: usize,
-    /// Dispatch time of an instance-free event's batch, ns.
-    pub dispatch_ns: Option<f64>,
-}
-
-impl EventView {
-    /// An arrive event of `class`.
-    pub fn arrive(class: RequestClass) -> Self {
-        EventView {
-            kind: FlightEventKind::Arrive,
-            class: Some(class),
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-
-    /// A window-expire event of `class`.
-    pub fn window_expire(class: RequestClass) -> Self {
-        EventView {
-            kind: FlightEventKind::WindowExpire,
-            class: Some(class),
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-
-    /// An instance-free event: `instance` finished a `batch_size` batch
-    /// of `class` dispatched at `dispatch_ns`.
-    pub fn instance_free(
-        instance: usize,
-        class: RequestClass,
-        batch_size: usize,
-        dispatch_ns: f64,
-    ) -> Self {
-        EventView {
-            kind: FlightEventKind::InstanceFree,
-            class: Some(class),
-            instance: Some(instance),
-            batch_size,
-            dispatch_ns: Some(dispatch_ns),
-        }
-    }
-
-    /// An autoscaler decision point.
-    pub fn scale_check() -> Self {
-        EventView {
-            kind: FlightEventKind::ScaleCheck,
-            class: None,
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-}
-
 /// An incident being recorded: the frozen pre-window plus everything
 /// captured since the trigger.
 #[derive(Debug, Clone)]
@@ -840,7 +767,7 @@ struct ActiveIncident {
 /// The always-on flight recorder the event loop carries. Observation
 /// only: zero RNG draws, no event arithmetic.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     cfg: FlightConfig,
     classes: Vec<RequestClass>,
     fleet: usize,
@@ -871,7 +798,7 @@ impl FlightRecorder {
     /// # Panics
     ///
     /// Panics on an invalid [`FlightConfig`].
-    pub fn new(
+    pub(crate) fn new(
         cfg: FlightConfig,
         classes: Vec<RequestClass>,
         fleet: usize,
@@ -921,174 +848,11 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one request terminal (called by the event loop's handler
-    /// while it processes the terminal's event, i.e. before
-    /// [`FlightRecorder::on_event`] for that event).
-    #[allow(clippy::too_many_arguments)] // mirrors the terminal field list
-    pub fn on_terminal(
-        &mut self,
-        id: u64,
-        class: RequestClass,
-        outcome: RequestOutcome,
-        arrive_ns: f64,
-        dispatch_ns: Option<f64>,
-        finish_ns: f64,
-        batch_size: usize,
-        instance: Option<usize>,
-    ) {
-        self.maybe_seal(finish_ns);
-        let record = TerminalRecord {
-            id,
-            class: self.rank(class),
-            outcome,
-            arrive_ns,
-            dispatch_ns: dispatch_ns.unwrap_or(-1.0),
-            finish_ns,
-            batch_size: batch_size as u32,
-            instance: instance.map_or(-1, |i| i as i32),
-        };
-        self.terminals.push(record);
-        if let Some(inc) = self.active.as_mut() {
-            inc.terminals.push(record);
-        }
-        if let Some(b) = self.burn.as_mut() {
-            b.push(finish_ns, outcome.is_violation());
-        }
-        if self.cfg.expiry_burst.is_some() && outcome == RequestOutcome::Expired {
-            self.expiries.push_back(finish_ns);
-        }
-    }
-
-    /// Records one processed event and evaluates the trigger engine on
-    /// the settled post-event state. `queue_depth` is the queued-request
-    /// total, `batch_occupancy` the executing-request total, and
-    /// `alarm_count` the health monitor's cumulative alarm count (0 when
-    /// unmonitored).
-    pub fn on_event(
-        &mut self,
-        t_ns: f64,
-        seq: u64,
-        view: EventView,
-        queue_depth: usize,
-        batch_occupancy: usize,
-        alarm_count: usize,
-    ) {
-        self.maybe_seal(t_ns);
-        if view.kind == FlightEventKind::Arrive {
-            self.arrivals_seen += 1;
-        }
-        let record = EventRecord {
-            t_ns,
-            seq,
-            kind: view.kind,
-            class: view.class.map_or(-1, |c| self.rank(c)),
-            instance: view.instance.map_or(-1, |i| i as i32),
-            batch_size: view.batch_size as u32,
-            queue_depth: queue_depth as u32,
-            batch_occupancy: batch_occupancy as u32,
-            dispatch_ns: view.dispatch_ns.unwrap_or(-1.0),
-        };
-        self.events.push(record);
-        if let Some(inc) = self.active.as_mut() {
-            inc.events.push(record);
-        }
-
-        // Evaluate every armed trigger on the settled state, in priority
-        // order. Each latches: it fires on the upward crossing and
-        // re-arms when its condition clears.
-        let mut fired: Vec<TriggerRecord> = Vec::new();
-        if let Some(b) = self.burn.as_mut() {
-            let (burn_rate, in_window) = b.evaluate(t_ns);
-            let trigger_cfg = self.cfg.burn.as_ref().expect("sweep is armed iff configured");
-            let threshold = trigger_cfg.threshold;
-            let min_events = trigger_cfg.min_events;
-            let condition = in_window >= min_events && burn_rate >= threshold;
-            if condition && !self.latched[0] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::BurnRate,
-                    t_ns,
-                    seq,
-                    value: burn_rate,
-                    threshold,
-                    burn: Some(b.burn_window()),
-                });
-            }
-            self.latched[0] = condition;
-        }
-        if let Some(e) = &self.cfg.expiry_burst {
-            while self.expiries.front().is_some_and(|&t| t <= t_ns - e.window_ns) {
-                self.expiries.pop_front();
-            }
-            let condition = self.expiries.len() >= e.count;
-            if condition && !self.latched[1] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::ExpiryBurst,
-                    t_ns,
-                    seq,
-                    value: self.expiries.len() as f64,
-                    threshold: e.count as f64,
-                    burn: None,
-                });
-            }
-            self.latched[1] = condition;
-        }
-        if let Some(q) = self.cfg.queue_depth_threshold {
-            let condition = queue_depth >= q;
-            if condition && !self.latched[2] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::QueueDepth,
-                    t_ns,
-                    seq,
-                    value: queue_depth as f64,
-                    threshold: q as f64,
-                    burn: None,
-                });
-            }
-            self.latched[2] = condition;
-        }
-        if self.cfg.health_alarms {
-            let condition = alarm_count > 0;
-            if condition && !self.latched[3] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::HealthAlarm,
-                    t_ns,
-                    seq,
-                    value: alarm_count as f64,
-                    threshold: 1.0,
-                    burn: None,
-                });
-            }
-            self.latched[3] = condition;
-        }
-
-        for trigger in fired {
-            self.triggers_fired += 1;
-            match self.active.as_mut() {
-                Some(inc) => inc.triggers.push(trigger),
-                None if self.sealed.len() < self.cfg.max_incidents => {
-                    // Freeze the pre-incident window: the ring contents
-                    // (which already include this event and its
-                    // terminals) become the incident's capture base.
-                    self.active = Some(ActiveIncident {
-                        trigger_t_ns: trigger.t_ns,
-                        triggers: vec![trigger],
-                        events: self.events.buf.iter().copied().collect(),
-                        terminals: self.terminals.buf.iter().copied().collect(),
-                        pre_events_evicted: self.events.evicted,
-                        pre_terminals_evicted: self.terminals.evicted,
-                    });
-                }
-                // Past the incident budget: firings only count.
-                None => {}
-            }
-        }
-    }
-
     /// Closes the recorder at drain: seals any open incident, computes
     /// each incident's root-cause report (pure arithmetic on the
     /// captured rows — the service models quote invocation phases), and
     /// returns the outcome.
-    pub fn finalize(mut self, services: &[ServiceModel], model_of: &[usize]) -> FlightOutcome {
+    fn finalize(mut self, services: &[ServiceModel], model_of: &[usize]) -> FlightOutcome {
         if let Some(inc) = self.active.take() {
             let end = inc.events.last().map_or(inc.trigger_t_ns, |e| e.t_ns);
             self.sealed.push((inc, end, self.arrivals_seen));
@@ -1258,6 +1022,156 @@ impl FlightRecorder {
     }
 }
 
+impl Observer for FlightRecorder {
+    /// Records one request terminal. The loop hands it over while it
+    /// processes the terminal's event, i.e. before that event's sample.
+    fn on_terminal(&mut self, t: &Terminal) {
+        let (outcome, finish_ns) = (t.outcome, t.finish_ns);
+        self.maybe_seal(finish_ns);
+        let record = TerminalRecord {
+            id: t.id,
+            class: self.rank(t.class),
+            outcome,
+            arrive_ns: t.arrive_ns,
+            dispatch_ns: t.dispatch_ns.unwrap_or(-1.0),
+            finish_ns,
+            batch_size: t.batch_size as u32,
+            instance: t.instance.map_or(-1, |i| i as i32),
+        };
+        self.terminals.push(record);
+        if let Some(inc) = self.active.as_mut() {
+            inc.terminals.push(record);
+        }
+        if let Some(b) = self.burn.as_mut() {
+            b.push(finish_ns, outcome.is_violation());
+        }
+        if self.cfg.expiry_burst.is_some() && outcome == RequestOutcome::Expired {
+            self.expiries.push_back(finish_ns);
+        }
+    }
+
+    /// Records one processed event and evaluates the trigger engine on
+    /// the settled post-event state. The health-alarm trigger reads
+    /// [`Sample::alarms`]: the health monitor, ahead in the observer
+    /// list, has sampled this event already (0 when unmonitored).
+    fn on_sample(&mut self, s: &Sample) {
+        let (t_ns, seq, queue_depth, alarm_count) = (s.t_ns, s.seq, s.queued, s.alarms);
+        self.maybe_seal(t_ns);
+        if s.kind == FlightEventKind::Arrive {
+            self.arrivals_seen += 1;
+        }
+        let record = EventRecord {
+            t_ns,
+            seq,
+            kind: s.kind,
+            class: s.class.map_or(-1, |c| self.rank(c)),
+            instance: s.instance.map_or(-1, |i| i as i32),
+            batch_size: s.batch_size as u32,
+            queue_depth: queue_depth as u32,
+            batch_occupancy: s.occupancy as u32,
+            dispatch_ns: s.dispatch_ns.unwrap_or(-1.0),
+        };
+        self.events.push(record);
+        if let Some(inc) = self.active.as_mut() {
+            inc.events.push(record);
+        }
+
+        // Evaluate every armed trigger on the settled state, in priority
+        // order. Each latches: it fires on the upward crossing and
+        // re-arms when its condition clears.
+        let mut fired: Vec<TriggerRecord> = Vec::new();
+        if let Some(b) = self.burn.as_mut() {
+            let (burn_rate, in_window) = b.evaluate(t_ns);
+            let trigger_cfg = self.cfg.burn.as_ref().expect("sweep is armed iff configured");
+            let threshold = trigger_cfg.threshold;
+            let min_events = trigger_cfg.min_events;
+            let condition = in_window >= min_events && burn_rate >= threshold;
+            if condition && !self.latched[0] {
+                fired.push(TriggerRecord {
+                    kind: TriggerKind::BurnRate,
+                    t_ns,
+                    seq,
+                    value: burn_rate,
+                    threshold,
+                    burn: Some(b.burn_window()),
+                });
+            }
+            self.latched[0] = condition;
+        }
+        if let Some(e) = &self.cfg.expiry_burst {
+            while self.expiries.front().is_some_and(|&t| t <= t_ns - e.window_ns) {
+                self.expiries.pop_front();
+            }
+            let condition = self.expiries.len() >= e.count;
+            if condition && !self.latched[1] {
+                fired.push(TriggerRecord {
+                    kind: TriggerKind::ExpiryBurst,
+                    t_ns,
+                    seq,
+                    value: self.expiries.len() as f64,
+                    threshold: e.count as f64,
+                    burn: None,
+                });
+            }
+            self.latched[1] = condition;
+        }
+        if let Some(q) = self.cfg.queue_depth_threshold {
+            let condition = queue_depth >= q;
+            if condition && !self.latched[2] {
+                fired.push(TriggerRecord {
+                    kind: TriggerKind::QueueDepth,
+                    t_ns,
+                    seq,
+                    value: queue_depth as f64,
+                    threshold: q as f64,
+                    burn: None,
+                });
+            }
+            self.latched[2] = condition;
+        }
+        if self.cfg.health_alarms {
+            let condition = alarm_count > 0;
+            if condition && !self.latched[3] {
+                fired.push(TriggerRecord {
+                    kind: TriggerKind::HealthAlarm,
+                    t_ns,
+                    seq,
+                    value: alarm_count as f64,
+                    threshold: 1.0,
+                    burn: None,
+                });
+            }
+            self.latched[3] = condition;
+        }
+
+        for trigger in fired {
+            self.triggers_fired += 1;
+            match self.active.as_mut() {
+                Some(inc) => inc.triggers.push(trigger),
+                None if self.sealed.len() < self.cfg.max_incidents => {
+                    // Freeze the pre-incident window: the ring contents
+                    // (which already include this event and its
+                    // terminals) become the incident's capture base.
+                    self.active = Some(ActiveIncident {
+                        trigger_t_ns: trigger.t_ns,
+                        triggers: vec![trigger],
+                        events: self.events.buf.iter().copied().collect(),
+                        terminals: self.terminals.buf.iter().copied().collect(),
+                        pre_events_evicted: self.events.evicted,
+                        pre_terminals_evicted: self.terminals.evicted,
+                    });
+                }
+                // Past the incident budget: firings only count.
+                None => {}
+            }
+        }
+    }
+
+    fn finish(self: Box<Self>, end: &Finish<'_>, out: &mut SimOutcome) {
+        out.flight = Some(self.finalize(end.services, end.model_of));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1272,8 +1186,26 @@ mod tests {
         FlightRecorder::new(cfg, vec![tiny_class()], 2, 50_000.0)
     }
 
+    /// The post-event sample of an arrival that left `queued` requests
+    /// queued.
+    fn arrival(t_ns: f64, seq: u64, queued: usize) -> Sample {
+        Sample { queued, ..Sample::new(t_ns, seq, FlightEventKind::Arrive, Some(tiny_class())) }
+    }
+
     fn arrive_event(r: &mut FlightRecorder, t: f64, seq: u64, queued: usize) {
-        r.on_event(t, seq, EventView::arrive(tiny_class()), queued, 0, 0);
+        r.on_sample(&arrival(t, seq, queued));
+    }
+
+    /// A terminal of a request that never ran.
+    fn unserved(id: u64, outcome: RequestOutcome, arrive_ns: f64, finish_ns: f64) -> Terminal {
+        let req = crate::request::Request { id, class: tiny_class(), arrive_ns, client: None };
+        Terminal::unserved(&req, outcome, finish_ns)
+    }
+
+    /// A terminal of a request that ran in a `batch_size` batch on
+    /// `instance`, dispatched at `dispatch_ns`.
+    fn completed(t: Terminal, dispatch_ns: f64, batch_size: usize, instance: usize) -> Terminal {
+        Terminal { dispatch_ns: Some(dispatch_ns), batch_size, instance: Some(instance), ..t }
     }
 
     #[test]
@@ -1288,16 +1220,8 @@ mod tests {
         });
         for i in 0..10u64 {
             arrive_event(&mut r, i as f64 * 10.0, i, 0);
-            r.on_terminal(
-                i,
-                tiny_class(),
-                RequestOutcome::Rejected,
-                i as f64 * 10.0,
-                None,
-                i as f64 * 10.0,
-                0,
-                None,
-            );
+            let t = i as f64 * 10.0;
+            r.on_terminal(&unserved(i, RequestOutcome::Rejected, t, t));
         }
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
         let out = r.finalize(&[model], &[0, 0]);
@@ -1329,7 +1253,7 @@ mod tests {
         // Two expiries land while processing event (200.0, 1), which
         // also settles at queue depth 3.
         for id in [10u64, 11] {
-            r.on_terminal(id, tiny_class(), RequestOutcome::Expired, 50.0, None, 200.0, 0, None);
+            r.on_terminal(&unserved(id, RequestOutcome::Expired, 50.0, 200.0));
         }
         arrive_event(&mut r, 200.0, 1, 3);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
@@ -1379,8 +1303,9 @@ mod tests {
             health_alarms: false,
             ..FlightConfig::default()
         });
-        r.on_terminal(0, tiny_class(), RequestOutcome::Good, 0.0, Some(5.0), 10.0, 1, Some(0));
-        r.on_terminal(1, tiny_class(), RequestOutcome::Late, 0.0, Some(5.0), 10.0, 1, Some(0));
+        for (id, outcome) in [(0, RequestOutcome::Good), (1, RequestOutcome::Late)] {
+            r.on_terminal(&completed(unserved(id, outcome, 0.0, 10.0), 5.0, 1, 0));
+        }
         arrive_event(&mut r, 10.0, 0, 0);
         assert_eq!(r.triggers_fired, 1);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
@@ -1429,8 +1354,14 @@ mod tests {
             health_alarms: false,
             ..FlightConfig::default()
         });
-        r.on_terminal(7, tiny_class(), RequestOutcome::Good, 0.0, Some(40.0), 90.0, 2, Some(1));
-        r.on_event(90.0, 3, EventView::instance_free(1, tiny_class(), 2, 40.0), 2, 0, 0);
+        r.on_terminal(&completed(unserved(7, RequestOutcome::Good, 0.0, 90.0), 40.0, 2, 1));
+        r.on_sample(&Sample {
+            kind: FlightEventKind::InstanceFree,
+            instance: Some(1),
+            batch_size: 2,
+            dispatch_ns: Some(40.0),
+            ..arrival(90.0, 3, 2)
+        });
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
         let out = r.finalize(&[model], &[0, 0]);
         assert_eq!(out.incidents.len(), 1);

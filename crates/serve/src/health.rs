@@ -25,13 +25,14 @@
 //!   bound the differential suite calibrated (one output ulp,
 //!   [`star_fixed::QFormat::resolution`], at the pristine operating
 //!   point).
-//! - [`HealthMonitor`] — the event-loop resident: accrues wear at
-//!   dispatch, samples fleet health on a fixed deterministic grid
-//!   (**zero RNG draws** — monitored and unmonitored runs produce
-//!   bitwise-identical [`crate::ServeReport`]s), raises threshold
-//!   [`HealthAlarm`]s (time-to-first-degradation, per-instance wear
-//!   skew), and optionally drives a round-robin **wear-leveling**
-//!   placement policy whose effect is visible as reduced ledger skew.
+//! - The health monitor — the event-loop observer: accrues wear at
+//!   dispatch, samples fleet health on a fixed deterministic grid, and
+//!   raises threshold [`HealthAlarm`]s (time-to-first-degradation,
+//!   per-instance wear skew). It only reads (**zero RNG draws**, no
+//!   scheduling decision), so monitored and unmonitored runs produce
+//!   bitwise-identical [`crate::ServeReport`]s. Wear-leveling is a
+//!   placement policy, [`crate::PlacementPolicy::RoundRobin`], whose
+//!   effect the monitor shows as reduced ledger skew.
 //! - [`WearRates`] / [`HealthProjection`] — steady-state rates extracted
 //!   from a short simulated window, projected analytically over
 //!   hours-to-years of wall time (the `a9_device_health` experiment).
@@ -42,7 +43,9 @@
 //! and worker counts.
 
 use crate::model::BatchCost;
+use crate::observer::{Finish, Observer, Sample};
 use crate::request::RequestClass;
+use crate::sim::SimOutcome;
 use serde::{Deserialize, Serialize};
 use star_device::{EnduranceModel, RetentionModel, TemperatureModel};
 use star_fixed::QFormat;
@@ -168,10 +171,9 @@ impl WearLedger {
 
 /// Configuration of the device-health model and monitor.
 ///
-/// Health monitoring is **observation-only by default**: with
-/// `wear_leveling` off the monitor never changes a scheduling decision,
-/// consumes no RNG, and the [`crate::ServeReport`] stays bitwise
-/// identical to an unmonitored run.
+/// Health monitoring is **observation-only**: the monitor never changes
+/// a scheduling decision, consumes no RNG, and the [`crate::ServeReport`]
+/// stays bitwise identical to an unmonitored run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Cycling-endurance model of the crossbar cells.
@@ -203,9 +205,6 @@ pub struct HealthConfig {
     pub max_stuck_fraction: f64,
     /// Retention drift-factor alarm threshold.
     pub min_drift_factor: f64,
-    /// Round-robin wear-leveling placement (off by default: observation
-    /// only).
-    pub wear_leveling: bool,
 }
 
 impl Default for HealthConfig {
@@ -214,8 +213,7 @@ impl Default for HealthConfig {
     /// die in the 300–320 K band across the serving load range), a 1 ms
     /// thermal time constant (scaled so short simulated windows reach
     /// thermal steady state), 10⁻¹⁰ write-equivalents per read,
-    /// commercial 85 °C / 10 % margin alarm thresholds, wear-leveling
-    /// off.
+    /// commercial 85 °C / 10 % margin alarm thresholds.
     fn default() -> Self {
         HealthConfig {
             endurance: EnduranceModel::typical(),
@@ -231,7 +229,6 @@ impl Default for HealthConfig {
             min_accuracy_margin: 0.1,
             max_stuck_fraction: 1e-4,
             min_drift_factor: 0.9,
-            wear_leveling: false,
         }
     }
 }
@@ -609,8 +606,6 @@ pub struct FleetHealthReport {
     /// Wear skew across the fleet: `(max − min) / mean` of per-instance
     /// row counts (0 = perfectly level, 0 for a fleet of one).
     pub wear_skew: f64,
-    /// Whether the round-robin wear-leveling placement was active.
-    pub wear_leveling: bool,
 }
 
 impl FleetHealthReport {
@@ -631,11 +626,10 @@ impl FleetHealthReport {
     }
 }
 
-/// The event-loop resident: accrues wear at dispatch, samples health on
-/// a deterministic grid, raises alarms, and (optionally) picks
-/// round-robin wear-leveled placements. Consumes **zero RNG draws**.
+/// The event-loop observer: accrues wear at dispatch, samples health on
+/// a deterministic grid and raises alarms. Consumes **zero RNG draws**.
 #[derive(Debug, Clone)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     model: HealthModel,
     ledgers: Vec<WearLedger>,
     temps: Vec<f64>,
@@ -648,7 +642,6 @@ pub struct HealthMonitor {
     alarms: Vec<HealthAlarm>,
     /// (instance, kind) pairs already alarmed — alarms fire once.
     raised: BTreeSet<(usize, AlarmKind)>,
-    rr_cursor: usize,
 }
 
 impl HealthMonitor {
@@ -658,7 +651,7 @@ impl HealthMonitor {
     /// # Panics
     ///
     /// Panics if `fleet` is zero or the configuration is non-physical.
-    pub fn new(cfg: HealthConfig, fleet: usize, format: QFormat) -> Self {
+    pub(crate) fn new(cfg: HealthConfig, fleet: usize, format: QFormat) -> Self {
         assert!(fleet > 0, "monitor needs at least one instance");
         let model = HealthModel::new(cfg, format);
         let ambient = model.cfg.ambient_kelvin;
@@ -674,62 +667,13 @@ impl HealthMonitor {
             samples: Vec::new(),
             alarms: Vec::new(),
             raised: BTreeSet::new(),
-            rr_cursor: 0,
         }
-    }
-
-    /// Whether round-robin wear-leveling placement is active.
-    pub fn wear_leveling(&self) -> bool {
-        self.model.cfg.wear_leveling
-    }
-
-    /// Alarms raised so far — the flight recorder's first-crossing
-    /// trigger input (alarms fire once per (instance, kind), so this is
-    /// monotone over the run).
-    pub fn alarm_count(&self) -> usize {
-        self.alarms.len()
-    }
-
-    /// The per-instance ledgers, instance order.
-    pub fn ledgers(&self) -> &[WearLedger] {
-        &self.ledgers
-    }
-
-    /// Round-robin placement over the idle set: the first idle instance
-    /// at or after the cursor, wrapping — deterministic, stateful, and
-    /// independent of wear magnitudes (so placement never feeds back
-    /// through float arithmetic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idle` is empty.
-    pub fn pick_instance(&mut self, idle: &BTreeSet<usize>) -> usize {
-        assert!(!idle.is_empty(), "placement needs an idle instance");
-        let pick = idle
-            .range(self.rr_cursor..)
-            .next()
-            .or_else(|| idle.iter().next())
-            .copied()
-            .expect("idle set non-empty");
-        self.rr_cursor = pick + 1;
-        pick
-    }
-
-    /// Accrues one costed invocation on `instance`.
-    pub fn on_dispatch(
-        &mut self,
-        instance: usize,
-        class: RequestClass,
-        batch: usize,
-        cost: &BatchCost,
-    ) {
-        self.ledgers[instance].accrue(class, batch, cost);
     }
 
     /// Samples fleet health if `now` has reached the next grid point;
     /// advances the thermal RC state, appends the sample, and raises
     /// first-crossing alarms.
-    pub fn maybe_sample(&mut self, now: f64) {
+    fn maybe_sample(&mut self, now: f64) {
         if now < self.next_sample_ns {
             return;
         }
@@ -775,7 +719,7 @@ impl HealthMonitor {
     /// Closes the monitor at `makespan_ns`: takes the final sample,
     /// publishes per-instance telemetry gauges, and returns the fleet
     /// report plus the sample timeseries (for the trace counter tracks).
-    pub fn finalize(mut self, makespan_ns: f64) -> (FleetHealthReport, Vec<FleetHealthSample>) {
+    fn finalize(mut self, makespan_ns: f64) -> (FleetHealthReport, Vec<FleetHealthSample>) {
         if self.samples.last().map(|s| s.t_ns) != Some(makespan_ns) {
             self.sample(makespan_ns);
         }
@@ -811,9 +755,34 @@ impl HealthMonitor {
             alarms: self.alarms.clone(),
             time_to_first_degradation_ns: self.alarms.first().map(|a| a.t_ns),
             wear_skew,
-            wear_leveling: self.model.cfg.wear_leveling,
         };
         (report, self.samples)
+    }
+}
+
+impl Observer for HealthMonitor {
+    fn on_dispatch(&mut self, instance: usize, class: RequestClass, size: usize, cost: &BatchCost) {
+        self.ledgers[instance].accrue(class, size, cost);
+    }
+
+    fn on_sample(&mut self, sample: &Sample) {
+        self.maybe_sample(sample.t_ns);
+    }
+
+    /// Alarms fire once per (instance, kind), so the count is monotone
+    /// over the run — flight's first-crossing trigger input.
+    fn alarms(&self) -> usize {
+        self.alarms.len()
+    }
+
+    /// Also hands the sample timeseries to the trace, when one is
+    /// attached (it finishes first), for its counter tracks.
+    fn finish(self: Box<Self>, end: &Finish<'_>, out: &mut SimOutcome) {
+        let (report, samples) = self.finalize(end.makespan_ns);
+        if let Some(trace) = out.trace.as_mut() {
+            trace.health = samples;
+        }
+        out.health = Some(report);
     }
 }
 
@@ -963,18 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_the_idle_set() {
-        let mut mon = HealthMonitor::new(HealthConfig::default(), 3, QFormat::new(5, 3).unwrap());
-        let idle: BTreeSet<usize> = [0, 1, 2].into_iter().collect();
-        let picks: Vec<usize> = (0..6).map(|_| mon.pick_instance(&idle)).collect();
-        assert_eq!(picks, [0, 1, 2, 0, 1, 2]);
-        // A hole in the idle set is skipped, wrapping correctly.
-        let partial: BTreeSet<usize> = [0, 2].into_iter().collect();
-        let picks: Vec<usize> = (0..4).map(|_| mon.pick_instance(&partial)).collect();
-        assert_eq!(picks, [0, 2, 0, 2]);
-    }
-
-    #[test]
     fn monitor_samples_on_grid_and_finalizes() {
         let class = tiny();
         let m = ServiceModel::new(ServiceModelConfig::default(), &[class]);
@@ -997,7 +954,6 @@ mod tests {
         assert_eq!(report.instances[1].ledger.invocations, 1);
         // The busy instance heated above ambient, below steady state.
         assert!(report.instances[0].peak_temperature_kelvin > 300.0);
-        assert!(!report.wear_leveling);
     }
 
     #[test]

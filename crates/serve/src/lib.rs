@@ -60,6 +60,7 @@ pub mod control;
 pub mod flight;
 pub mod health;
 pub mod model;
+mod observer;
 pub mod profile;
 mod ready;
 pub mod request;
@@ -71,24 +72,24 @@ pub mod trace;
 pub use arrival::{generate_open_loop, ArrivalProcess, WorkloadMix};
 pub use batch::BatchPolicy;
 pub use blame::{
-    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameRecorder, BlameReport,
-    BlockedPair, BlockingChain, ClassBlame, InstanceBlame, PhaseScale, RequestBlame, WhatIf,
-    WhatIfReport, WhatIfRow, BLAME_SIDECAR_KEY,
+    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameReport, BlockedPair,
+    BlockingChain, ClassBlame, InstanceBlame, PhaseScale, RequestBlame, WhatIf, WhatIfReport,
+    WhatIfRow, BLAME_SIDECAR_KEY,
 };
 pub use control::{
     AutoscaleConfig, ClassShare, ControlConfig, ControlReport, DequeuePolicy, EdfPolicy,
     PlacementPolicy, ScaleDirection, ScaleEvent, WeightedFairPolicy,
 };
 pub use flight::{
-    ArrivalDelta, BurnTriggerConfig, ClassIncidentStats, EventRecord, EventView, ExpiryBurstConfig,
-    FlightConfig, FlightEventKind, FlightOutcome, FlightRecorder, IncidentDump, IncidentExemplar,
-    IncidentReport, InstanceIncidentStats, LatencyWaterfall, TerminalRecord, TriggerKind,
-    TriggerRecord, FLIGHT_SIDECAR_KEY,
+    ArrivalDelta, BurnTriggerConfig, ClassIncidentStats, EventRecord, ExpiryBurstConfig,
+    FlightConfig, FlightEventKind, FlightOutcome, IncidentDump, IncidentExemplar, IncidentReport,
+    InstanceIncidentStats, LatencyWaterfall, TerminalRecord, TriggerKind, TriggerRecord,
+    FLIGHT_SIDECAR_KEY,
 };
 pub use health::{
     invocation_wear, AlarmKind, FleetHealthReport, FleetHealthSample, HealthAlarm, HealthConfig,
-    HealthModel, HealthMonitor, HealthProjection, InstanceHealthReport, InstanceHealthSample,
-    WearCounts, WearLedger, WearRates,
+    HealthModel, HealthProjection, InstanceHealthReport, InstanceHealthSample, WearCounts,
+    WearLedger, WearRates,
 };
 pub use model::{
     BatchCost, ClassService, InvocationPhases, ServiceModel, ServiceModelConfig, ServicePhase,

@@ -47,7 +47,8 @@ pub const HIST_BUCKETS: usize = 16;
 /// of the event loop (their sum approximates total loop time); the rest
 /// are **nested** inside them (attribution detail, double-counted by
 /// design — `dispatch` runs inside the three event handlers,
-/// `batch_cost` and `health_dispatch` inside `dispatch`).
+/// `batch_cost` inside `dispatch`, and `observe` inside the handlers and
+/// `dispatch`).
 pub mod phase {
     /// `Arrive` event handling (admission, enqueue, dispatch attempt).
     pub const ARRIVE: usize = 0;
@@ -55,7 +56,8 @@ pub mod phase {
     pub const WINDOW_EXPIRE: usize = 1;
     /// `InstanceFree` event handling (completion accounting, spans).
     pub const INSTANCE_FREE: usize = 2;
-    /// Post-event sampling: trace timeseries + health monitor grid.
+    /// Post-event sampling: every attached observer's settled-state
+    /// sample.
     pub const SAMPLE_HOOKS: usize = 3;
     /// Report assembly after the heap drains.
     pub const FINALIZE: usize = 4;
@@ -63,17 +65,16 @@ pub mod phase {
     pub const DISPATCH: usize = 5;
     /// Nested: hardware batch costing (`ServiceModel::batch_cost`).
     pub const BATCH_COST: usize = 6;
-    /// Nested: span/trace construction in the event handlers.
-    pub const TRACE_EMIT: usize = 7;
-    /// Nested: health-monitor dispatch accounting.
-    pub const HEALTH_DISPATCH: usize = 8;
+    /// Nested: the attached observers' dispatch, batch-done and
+    /// terminal hooks (see `crate::observer`).
+    pub const OBSERVE: usize = 7;
     /// `ScaleCheck` event handling (autoscaler decisions; a top-level
     /// event-handler region like the first three, but listed after the
-    /// nested phases to keep existing indices stable).
-    pub const SCALE_CHECK: usize = 9;
+    /// nested phases).
+    pub const SCALE_CHECK: usize = 8;
 
     /// Phase names, indexed by the constants above.
-    pub const NAMES: [&str; 10] = [
+    pub const NAMES: [&str; 9] = [
         "arrive",
         "window_expire",
         "instance_free",
@@ -81,8 +82,7 @@ pub mod phase {
         "finalize",
         "dispatch",
         "batch_cost",
-        "trace_emit",
-        "health_dispatch",
+        "observe",
         "scale_check",
     ];
 
@@ -371,9 +371,9 @@ mod tests {
     fn phase_names_match_indices() {
         assert_eq!(phase::NAMES[phase::ARRIVE], "arrive");
         assert_eq!(phase::NAMES[phase::FINALIZE], "finalize");
-        assert_eq!(phase::NAMES[phase::HEALTH_DISPATCH], "health_dispatch");
+        assert_eq!(phase::NAMES[phase::OBSERVE], "observe");
         assert_eq!(phase::NAMES[phase::SCALE_CHECK], "scale_check");
-        assert_eq!(phase::NAMES.len(), 10);
+        assert_eq!(phase::NAMES.len(), 9);
         assert!(phase::TOP_LEVEL <= phase::NAMES.len());
     }
 

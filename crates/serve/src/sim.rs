@@ -64,20 +64,19 @@ use crate::control::autoscale::ScalerState;
 use crate::control::{
     ClassShare, ControlConfig, ControlReport, DequeuePolicy, PlacementPolicy, ScaleDirection,
 };
-use crate::flight::{EventView, FlightConfig, FlightOutcome, FlightRecorder};
+use crate::flight::{FlightConfig, FlightEventKind, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
+use crate::observer::{BatchDone, Finish, Observer, Sample, Terminal};
 use crate::profile::{phase, SimProfile};
 use crate::ready::ReadyIndex;
 use crate::request::{Request, RequestClass, RequestRecord};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
-use crate::trace::{
-    invocation_span, BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample,
-};
+use crate::trace::{RequestOutcome, ServeTrace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use star_telemetry::{Span, DEFAULT_BUCKET_BOUNDS};
+use star_telemetry::DEFAULT_BUCKET_BOUNDS;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
@@ -220,6 +219,25 @@ struct Event {
     kind: EventKind,
 }
 
+impl Event {
+    /// The event's own fields as observers see them; the loop fills in
+    /// the settled state after the handler ran.
+    fn sample(&self) -> Sample {
+        let of = |kind, class| Sample::new(self.time, self.seq, kind, class);
+        match &self.kind {
+            EventKind::Arrive(req) => of(FlightEventKind::Arrive, Some(req.class)),
+            EventKind::WindowExpire(class) => of(FlightEventKind::WindowExpire, Some(*class)),
+            EventKind::InstanceFree { instance, batch } => Sample {
+                instance: Some(*instance),
+                batch_size: batch.members.len(),
+                dispatch_ns: Some(batch.dispatch_ns),
+                ..of(FlightEventKind::InstanceFree, Some(batch.class))
+            },
+            EventKind::ScaleCheck => of(FlightEventKind::ScaleCheck, None),
+        }
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
@@ -333,6 +351,9 @@ struct Sim<'a> {
     attained_ns: Vec<f64>,
     /// Autoscaler runtime state (present iff configured).
     scaler: Option<ScalerState>,
+    /// Round-robin placement's cursor: the next pick is the first idle
+    /// instance at or after it.
+    rr_cursor: usize,
     tel: TelSink,
     // Accounting.
     arrivals: u64,
@@ -356,28 +377,15 @@ struct Sim<'a> {
     max_in_system: u64,
     makespan_ns: f64,
     per_class: Vec<ClassAccum>,
-    trace: Option<ServeTrace>,
-    /// Device-health monitor (observation-only unless its wear-leveling
-    /// policy is enabled; consumes zero RNG draws either way).
-    health: Option<HealthMonitor>,
+    /// The attached observers in call order: trace, health, flight,
+    /// blame (see [`crate::observer`]). Empty when none is attached.
+    observers: Vec<Box<dyn Observer>>,
     /// Self-profile: deterministic work counters + wall-clock phase
-    /// attribution. Like tracing and health, profiling consumes zero RNG
-    /// draws and perturbs no event arithmetic — reports stay bitwise
-    /// identical (boxed: only the hot loop's `is_some` check stays in
-    /// the state's cache footprint).
-    profile: Option<Box<SimProfile>>,
-    /// Incident flight recorder: bounded rings of compact per-event and
-    /// per-terminal rows plus the deterministic trigger engine. Like
-    /// every other observer it consumes zero RNG draws and perturbs no
-    /// event arithmetic — recorder-on output is bitwise identical to
-    /// recorder-off (see [`crate::flight`]).
-    flight: Option<Box<FlightRecorder>>,
-    /// Critical-path blame recorder: per-request latency decomposition
-    /// and the blocking-chain table. Like every other observer it
+    /// attribution. A timer layer, not an observer: like them it
     /// consumes zero RNG draws and perturbs no event arithmetic —
-    /// blame-on output is bitwise identical to blame-off (see
-    /// [`crate::blame`]).
-    blame: Option<Box<BlameRecorder>>,
+    /// reports stay bitwise identical (boxed: only the hot loop's
+    /// `is_some` check stays in the state's cache footprint).
+    profile: Option<Box<SimProfile>>,
 }
 
 impl<'a> Sim<'a> {
@@ -399,31 +407,34 @@ impl<'a> Sim<'a> {
             }
             None => distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect(),
         };
-        let flight = opts.flight.as_ref().map(|fc| {
-            Box::new(FlightRecorder::new(
-                fc.clone(),
-                classes.clone(),
-                capacity,
-                cfg.policy.window_ns,
-            ))
-        });
-        let blame = opts.blamed.then(|| {
-            Box::new(BlameRecorder::new(
+        // List order is call order: health samples each event before
+        // flight reads its alarms, and the trace finishes before health
+        // attaches its timeseries to it.
+        let mut observers: Vec<Box<dyn Observer>> = Vec::new();
+        if opts.traced {
+            observers.push(Box::new(ServeTrace::new(capacity, cfg.deadline_ns)));
+        }
+        if let Some(hc) = &opts.health {
+            let monitor = HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat());
+            observers.push(Box::new(monitor));
+        }
+        if let Some(fc) = &opts.flight {
+            let window_ns = cfg.policy.window_ns;
+            let recorder = FlightRecorder::new(fc.clone(), classes.clone(), capacity, window_ns);
+            observers.push(Box::new(recorder));
+        }
+        if opts.blamed {
+            observers.push(Box::new(BlameRecorder::new(
                 classes.clone(),
                 cfg.policy.window_ns,
                 cfg.control.dequeue.name(),
                 cfg.control.placement.name(),
-            ))
-        });
+            )));
+        }
         let mut ranked = classes;
         ranked.sort_unstable();
         ranked.dedup();
         let n_classes = ranked.len();
-        let trace = opts.traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
-        let health = opts
-            .health
-            .as_ref()
-            .map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
         let scaler =
             cfg.control.autoscale.clone().map(|a| ScalerState::new(a, capacity, initial_active));
         Sim {
@@ -446,6 +457,7 @@ impl<'a> Sim<'a> {
             active_count: initial_active,
             attained_ns: vec![0.0; n_classes],
             scaler,
+            rr_cursor: 0,
             tel: TelSink::new(opts.profiled),
             arrivals: 0,
             rejected: 0,
@@ -466,11 +478,8 @@ impl<'a> Sim<'a> {
             max_in_system: 0,
             makespan_ns: 0.0,
             per_class: vec![ClassAccum::default(); n_classes],
-            trace,
-            health,
+            observers,
             profile: opts.profiled.then(|| Box::new(SimProfile::new())),
-            flight,
-            blame,
         }
     }
 
@@ -480,18 +489,6 @@ impl<'a> Sim<'a> {
     #[inline]
     fn tick(&self) -> Option<Instant> {
         self.profile.is_some().then(Instant::now)
-    }
-
-    /// [`Sim::tick`] gated on a second condition (e.g. "only time the
-    /// trace-emit block when a trace is actually attached"), so optional
-    /// subsystems that are off don't pollute phase call counts.
-    #[inline]
-    fn tick_if(&self, active: bool) -> Option<Instant> {
-        if active {
-            self.tick()
-        } else {
-            None
-        }
     }
 
     /// Ends a wall-clock interval started by [`Sim::tick`], attributing
@@ -505,21 +502,19 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Samples post-event system state onto the trace timeseries (one
-    /// sample per distinct event time; later events at the same instant
-    /// overwrite, so the sample reflects the settled state).
-    fn record_sample(&mut self, now: f64) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let queued = self.queued_total as u64;
-        let busy = (self.active_count - self.idle.len()) as u64;
-        if let Some(last) = t.samples.last_mut() {
-            if last.t_ns == now {
-                last.queued = queued;
-                last.busy = busy;
-                return;
-            }
+    /// Hands one lifecycle event to every attached observer in list
+    /// order, timed as the nested `observe` phase. With none attached
+    /// the hook never runs, so no event is built and no clock is read.
+    #[inline]
+    fn notify(&mut self, mut hook: impl FnMut(&mut dyn Observer)) {
+        if self.observers.is_empty() {
+            return;
         }
-        t.samples.push(SystemSample { t_ns: now, queued, busy });
+        let t0 = self.tick();
+        for o in &mut self.observers {
+            hook(o.as_mut());
+        }
+        self.tock(phase::OBSERVE, t0);
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind) {
@@ -631,34 +626,9 @@ impl<'a> Sim<'a> {
                 s.note_violation(req.class);
             }
             self.tel.count("serve.requests.rejected", 1);
-            let tt = self.tick_if(self.trace.is_some());
-            if let Some(t) = self.trace.as_mut() {
-                // A rejected request's whole lifecycle is one instant.
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: RequestOutcome::Rejected,
-                    batch_size: 0,
-                    instance: None,
-                    span: Span::leaf(format!("req{} {}", req.id, req.class), "request", now, 0.0),
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    RequestOutcome::Rejected,
-                    req.arrive_ns,
-                    None,
-                    now,
-                    0,
-                    None,
-                );
-            }
-            if let Some(b) = self.blame.as_deref_mut() {
-                b.on_rejected();
-            }
+            self.notify(|o| {
+                o.on_terminal(&Terminal::unserved(&req, RequestOutcome::Rejected, now))
+            });
             self.client_think_and_reissue(req.client, now);
             return;
         }
@@ -687,50 +657,37 @@ impl<'a> Sim<'a> {
             batch.members.iter().all(|r| r.class == batch.class),
             "batches never mix request classes"
         );
-        // Hardware phase decomposition, computed once per batch and
-        // shared by the instance-lane span and every member's
-        // `"invocation"` sub-tree. Tracing consumes no RNG draws and
-        // changes no event arithmetic — the traced and untraced runs
-        // stay bitwise identical.
-        let tt = self.tick_if(self.trace.is_some());
-        // Blame reuses the same pure decomposition (no counters, no RNG)
-        // — computing it for either observer perturbs nothing.
-        let phases = (self.trace.is_some() || self.blame.is_some())
-            .then(|| self.services[self.model_of[instance]].invocation_phases(batch.class, size));
-        if let (Some(b), Some(p)) = (self.blame.as_deref_mut(), phases.as_ref()) {
-            b.on_batch(instance, batch.class, batch.dispatch_ns, now, &batch.members, p);
-        }
-        if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
-            t.batches.push(BatchTrace {
+        if !self.observers.is_empty() {
+            // The hardware phase decomposition, once per batch for every
+            // observer: a pure function of the model (no counters, no
+            // RNG), so computing it perturbs nothing.
+            let done = BatchDone {
                 instance,
                 class: batch.class,
-                size,
-                span: invocation_span(
-                    format!("{} x{size}", batch.class),
-                    batch.dispatch_ns,
-                    now - batch.dispatch_ns,
-                    p,
-                ),
-            });
+                dispatch_ns: batch.dispatch_ns,
+                done_ns: now,
+                members: &batch.members,
+                phases: self.services[self.model_of[instance]].invocation_phases(batch.class, size),
+            };
+            self.notify(|o| o.on_batch_done(&done));
         }
-        self.tock(phase::TRACE_EMIT, tt);
         let rank = self.rank(batch.class);
         for req in batch.members {
             let latency = now - req.arrive_ns;
             let queue_ns = batch.dispatch_ns - req.arrive_ns;
             let good = latency <= self.cfg.deadline_ns;
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    if good { RequestOutcome::Good } else { RequestOutcome::Late },
-                    req.arrive_ns,
-                    Some(batch.dispatch_ns),
-                    now,
-                    size,
-                    Some(instance),
-                );
-            }
+            self.notify(|o| {
+                o.on_terminal(&Terminal {
+                    id: req.id,
+                    class: req.class,
+                    outcome: if good { RequestOutcome::Good } else { RequestOutcome::Late },
+                    arrive_ns: req.arrive_ns,
+                    dispatch_ns: Some(batch.dispatch_ns),
+                    finish_ns: now,
+                    batch_size: size,
+                    instance: Some(instance),
+                })
+            });
             self.in_system -= 1;
             self.completed += 1;
             let acc = &mut self.per_class[rank];
@@ -754,31 +711,6 @@ impl<'a> Sim<'a> {
             // `serve.latency_us`, `serve.queue_us` and the class's pair,
             // replayed at finalize from the vectors filled below.
             self.tel.bump(4);
-            let tt = self.tick_if(self.trace.is_some());
-            if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
-                let span = Span::leaf(
-                    format!("req{} {}", req.id, req.class),
-                    "request",
-                    req.arrive_ns,
-                    latency,
-                )
-                .with_child(Span::leaf("queue", "queue", req.arrive_ns, queue_ns))
-                .with_child(invocation_span(
-                    "invoke",
-                    batch.dispatch_ns,
-                    now - batch.dispatch_ns,
-                    p,
-                ));
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: if good { RequestOutcome::Good } else { RequestOutcome::Late },
-                    batch_size: size,
-                    instance: Some(instance),
-                    span,
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
             self.latencies_ns.push(latency);
             self.queue_delays_ns.push(queue_ns);
             self.records.push(RequestRecord {
@@ -952,20 +884,13 @@ impl<'a> Sim<'a> {
                 continue; // everything at the head had expired
             }
             let size = members.len();
-            // Placement: the lowest idle index by default. With the
-            // health monitor's wear-leveling policy on, a deterministic
-            // round-robin cursor spreads invocations across the fleet
-            // and keeps precedence over the control plane's placement
-            // policy (zero RNG draws on every path — placement chooses
+            // Placement: the lowest idle index unless the control plane
+            // picks (zero RNG draws on every path — placement chooses
             // *which* instance runs the batch, never when or what).
-            let wear_pick = match self.health.as_mut() {
-                Some(h) if h.wear_leveling() => Some(h.pick_instance(&self.idle)),
-                _ => None,
-            };
-            let instance = match wear_pick {
-                Some(i) => i,
-                None if self.control_active => self.place_instance(class, size),
-                None => *self.idle.first().expect("loop guard: idle set non-empty"),
+            let instance = if self.control_active {
+                self.place_instance(class, size)
+            } else {
+                *self.idle.first().expect("loop guard: idle set non-empty")
             };
             debug_assert!(
                 self.scaler.as_ref().is_none_or(|s| s.is_active(instance)),
@@ -974,11 +899,7 @@ impl<'a> Sim<'a> {
             let tc = self.tick();
             let cost = self.services[self.model_of[instance]].batch_cost(class, size);
             self.tock(phase::BATCH_COST, tc);
-            let th = self.tick_if(self.health.is_some());
-            if let Some(h) = self.health.as_mut() {
-                h.on_dispatch(instance, class, size, &cost);
-            }
-            self.tock(phase::HEALTH_DISPATCH, th);
+            self.notify(|o| o.on_dispatch(instance, class, size, &cost));
             self.idle.remove(&instance);
             self.busy_ns[instance] += cost.latency_ns;
             self.energy_pj += cost.energy_pj;
@@ -1020,10 +941,15 @@ impl<'a> Sim<'a> {
     /// always break to the lowest index; no RNG is consumed. On a
     /// homogeneous fleet, fastest-eligible and energy-greedy both
     /// degenerate to first-idle (every instance quotes the same cost).
-    fn place_instance(&self, class: RequestClass, size: usize) -> usize {
+    fn place_instance(&mut self, class: RequestClass, size: usize) -> usize {
         let first = *self.idle.first().expect("loop guard: idle set non-empty");
         match self.cfg.control.placement {
             PlacementPolicy::FirstIdle => first,
+            PlacementPolicy::RoundRobin => {
+                let pick = self.idle.range(self.rr_cursor..).next().copied().unwrap_or(first);
+                self.rr_cursor = pick + 1;
+                pick
+            }
             PlacementPolicy::LeastLoaded => {
                 let mut best = first;
                 let mut best_busy = f64::INFINITY;
@@ -1094,46 +1020,7 @@ impl<'a> Sim<'a> {
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
-            let tt = self.tick_if(self.trace.is_some());
-            if let Some(t) = self.trace.as_mut() {
-                // The whole (futile) lifetime was spent queued.
-                let wait = now - req.arrive_ns;
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: RequestOutcome::Expired,
-                    batch_size: 0,
-                    instance: None,
-                    span: Span::leaf(
-                        format!("req{} {}", req.id, req.class),
-                        "request",
-                        req.arrive_ns,
-                        wait,
-                    )
-                    .with_child(Span::leaf(
-                        "queue",
-                        "queue",
-                        req.arrive_ns,
-                        wait,
-                    )),
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    RequestOutcome::Expired,
-                    req.arrive_ns,
-                    None,
-                    now,
-                    0,
-                    None,
-                );
-            }
-            if let Some(b) = self.blame.as_deref_mut() {
-                b.on_expired(now - req.arrive_ns);
-            }
+            self.notify(|o| o.on_terminal(&Terminal::unserved(&req, RequestOutcome::Expired, now)));
             self.client_think_and_reissue(req.client, now);
         }
         members
@@ -1165,24 +1052,9 @@ impl<'a> Sim<'a> {
                     EventKind::ScaleCheck => p.work.events_scale_check += 1,
                 }
             }
-            // Lower the event to its flight view before the handler
-            // consumes it (the recorder never sees the private event
-            // enum; the view is a pure projection).
-            let fview = if self.flight.is_some() {
-                Some(match &event.kind {
-                    EventKind::Arrive(req) => EventView::arrive(req.class),
-                    EventKind::WindowExpire(class) => EventView::window_expire(*class),
-                    EventKind::InstanceFree { instance, batch } => EventView::instance_free(
-                        *instance,
-                        batch.class,
-                        batch.members.len(),
-                        batch.dispatch_ns,
-                    ),
-                    EventKind::ScaleCheck => EventView::scale_check(),
-                })
-            } else {
-                None
-            };
+            // Observers never see the private event enum: its fields are
+            // copied out before the handler consumes it.
+            let sample = (!self.observers.is_empty()).then(|| event.sample());
             let t0 = self.tick();
             match event.kind {
                 EventKind::Arrive(req) => {
@@ -1203,26 +1075,20 @@ impl<'a> Sim<'a> {
                 }
             }
             if let Some(p) = self.profile.as_deref_mut() {
-                // Post-event settled state, same convention as the trace
-                // timeseries sample below.
+                // Post-event settled state, same convention as the
+                // observers' sample below.
                 p.work.queue_depth_hist.record(self.queued_total as u64);
                 p.work.backlog_hist.record(self.events.len() as u64);
             }
             let ts = self.tick();
-            self.record_sample(event.time);
-            if let Some(h) = self.health.as_mut() {
-                h.maybe_sample(event.time);
-            }
-            if let Some(view) = fview {
-                // Post-event settled state, same convention as the
-                // sample hooks above; occupancy = in-flight requests
-                // currently executing in batches.
-                let alarms = self.health.as_ref().map_or(0, HealthMonitor::alarm_count);
-                let occupancy = (self.in_system as usize).saturating_sub(self.queued_total);
-                self.flight
-                    .as_deref_mut()
-                    .expect("view captured only when the recorder is attached")
-                    .on_event(event.time, event.seq, view, self.queued_total, occupancy, alarms);
+            if let Some(mut sample) = sample {
+                sample.queued = self.queued_total;
+                sample.busy = self.active_count - self.idle.len();
+                sample.occupancy = (self.in_system as usize).saturating_sub(self.queued_total);
+                for o in &mut self.observers {
+                    o.on_sample(&sample);
+                    sample.alarms += o.alarms();
+                }
             }
             self.tock(phase::SAMPLE_HOOKS, ts);
         }
@@ -1230,9 +1096,6 @@ impl<'a> Sim<'a> {
         debug_assert_eq!(self.in_system, 0, "every admitted request completes or expires");
         let tf = self.tick();
         let makespan_s = (self.makespan_ns * 1e-9).max(f64::MIN_POSITIVE);
-        if let Some(t) = self.trace.as_mut() {
-            t.makespan_ns = self.makespan_ns;
-        }
         let per_class: Vec<ClassSloReport> = self
             .classes
             .iter()
@@ -1346,17 +1209,27 @@ impl<'a> Sim<'a> {
             }
         });
         self.replay_telemetry();
-        let mut trace = self.trace;
-        let health = self.health.map(|monitor| {
-            let (health_report, samples) = monitor.finalize(report.makespan_ns);
-            if let Some(t) = trace.as_mut() {
-                t.health = samples;
-            }
-            health_report
-        });
+        let mut out = SimOutcome {
+            report,
+            records: self.records,
+            trace: None,
+            health: None,
+            profile: None,
+            control,
+            flight: None,
+            blame: None,
+        };
+        let end = Finish {
+            makespan_ns: self.makespan_ns,
+            services: &self.services,
+            model_of: &self.model_of,
+        };
+        for o in self.observers {
+            o.finish(&end, &mut out);
+        }
         self.tel.flush();
         let tel_ops = self.tel.ops;
-        let profile = self.profile.take().map(|mut p| {
+        out.profile = self.profile.take().map(|mut p| {
             p.work.telemetry_ops = tel_ops;
             if let Some(tf) = tf {
                 p.wall.record(phase::FINALIZE, tf.elapsed());
@@ -1366,9 +1239,7 @@ impl<'a> Sim<'a> {
             }
             *p
         });
-        let flight = self.flight.take().map(|f| f.finalize(&self.services, &self.model_of));
-        let blame = self.blame.take().map(|b| b.finalize());
-        SimOutcome { report, records: self.records, trace, health, profile, control, flight, blame }
+        out
     }
 
     /// Records the run's gauge and histogram telemetry into the active
@@ -1444,10 +1315,9 @@ pub struct SimOutcome {
 }
 
 /// The observers a [`simulate_with`] run attaches; the default attaches
-/// none. Every observer consumes zero RNG draws and perturbs no event
-/// arithmetic, so the [`ServeReport`] is bitwise identical whichever are
-/// attached. Wear-leveling, when explicitly enabled in `health`, is the
-/// single documented exception.
+/// none. Every observer only reads: it consumes zero RNG draws, makes no
+/// scheduling decision and perturbs no event arithmetic, so the
+/// [`ServeReport`] is bitwise identical whichever are attached.
 #[derive(Debug, Clone, Default)]
 pub struct SimOptions {
     /// Collect the full [`ServeTrace`]: a span tree per request,
@@ -1790,12 +1660,11 @@ mod tests {
             &cfg,
             &SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() },
         );
-        // The acceptance invariant: with wear-leveling off the monitor
-        // never perturbs the simulation — bitwise-equal reports.
+        // The acceptance invariant: the monitor never perturbs the
+        // simulation — bitwise-equal reports.
         assert_eq!(plain, monitored.report);
         let health = monitored.health.expect("health requested");
         assert_eq!(health.instances.len(), cfg.fleet);
-        assert!(!health.wear_leveling);
 
         // Ledger accounting identities against the event loop's own
         // counters: ledger invocations/requests == dispatched batches /
@@ -1880,8 +1749,7 @@ mod tests {
         assert_eq!(p.wall.stats(phase::DISPATCH).calls, w.dispatch_rounds);
         assert_eq!(p.wall.stats(phase::BATCH_COST).calls, w.batches_formed);
         assert_eq!(p.wall.stats(phase::FINALIZE).calls, 1);
-        assert_eq!(p.wall.stats(phase::TRACE_EMIT).calls, 0, "no trace attached");
-        assert_eq!(p.wall.stats(phase::HEALTH_DISPATCH).calls, 0, "no monitor attached");
+        assert_eq!(p.wall.stats(phase::OBSERVE).calls, 0, "no observer attached");
         assert!(p.wall_total_ns > 0);
         assert!(p.events_per_sec() > 0.0);
     }
@@ -1910,8 +1778,11 @@ mod tests {
         );
         assert_eq!(plain, full.report, "all three observers attached, still bitwise equal");
         let p = full.profile.expect("profile requested");
-        assert!(p.wall.stats(phase::TRACE_EMIT).calls > 0);
-        assert_eq!(p.wall.stats(phase::HEALTH_DISPATCH).calls, p.work.batches_formed);
+        // One observer call per dispatch, per finished batch and per
+        // request terminal (every arrival reaches exactly one).
+        let w = &p.work;
+        let hooks = w.batches_formed + w.events_instance_free + plain.arrivals;
+        assert_eq!(p.wall.stats(phase::OBSERVE).calls, hooks);
         // The work counters do not depend on which observers ride along.
         let solo = simulate_profiled(&cfg).profile.expect("profile");
         assert_eq!(p.work, solo.work);
@@ -1920,30 +1791,36 @@ mod tests {
     }
 
     #[test]
-    fn monitored_runs_replay_bitwise() {
-        let cfg = ServeConfig::example();
-        let opts = SimOptions { health: Some(HealthConfig::default()), ..SimOptions::default() };
-        let a = simulate_with(&cfg, &opts);
-        let b = simulate_with(&cfg, &opts);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.health, b.health);
+    fn round_robin_placement_cycles_the_idle_set() {
+        let mut cfg = ServeConfig::example();
+        cfg.fleet = 3;
+        cfg.control.placement = PlacementPolicy::RoundRobin;
+        let class = cfg.mix.classes()[0];
+        let mut sim = Sim::new(&cfg, None, &SimOptions::default());
+        let picks: Vec<usize> = (0..6).map(|_| sim.place_instance(class, 1)).collect();
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2]);
+        // A hole in the idle set is skipped, wrapping correctly.
+        sim.idle.remove(&1);
+        let picks: Vec<usize> = (0..4).map(|_| sim.place_instance(class, 1)).collect();
+        assert_eq!(picks, [0, 2, 0, 2]);
     }
 
     #[test]
-    fn wear_leveling_reduces_ledger_skew() {
+    fn round_robin_placement_reduces_ledger_skew() {
         // Light load on a wide fleet: lowest-index placement starves the
         // high instances, round-robin spreads the work.
         let mut cfg = ServeConfig::example();
         cfg.fleet = 4;
         cfg.arrival = ArrivalProcess::poisson(5_000.0);
-        let monitored = |health| {
-            simulate_with(&cfg, &SimOptions { health: Some(health), ..SimOptions::default() })
+        let monitored = |cfg: &ServeConfig| {
+            let health = Some(HealthConfig::default());
+            simulate_with(cfg, &SimOptions { health, ..SimOptions::default() })
         };
-        let off = monitored(HealthConfig::default());
-        let on = monitored(HealthConfig { wear_leveling: true, ..HealthConfig::default() });
+        let off = monitored(&cfg);
+        cfg.control.placement = PlacementPolicy::RoundRobin;
+        let on = monitored(&cfg);
         let (off_h, on_h) = (off.health.expect("health"), on.health.expect("health"));
         assert!(off_h.wear_skew > on_h.wear_skew, "{} vs {}", off_h.wear_skew, on_h.wear_skew);
-        assert!(on_h.wear_leveling);
         // Placement changes *which* instance runs a batch, never the
         // batching or timing decisions: identical totals and latency.
         let rows = |h: &crate::health::FleetHealthReport| -> u64 {
@@ -1968,32 +1845,6 @@ mod tests {
             assert!(snap.gauges.contains_key(&format!("serve.health.i{i}.accuracy_margin")));
         }
         assert_eq!(snap.gauges["serve.health.wear_skew"], health.wear_skew);
-    }
-
-    #[test]
-    fn flight_recording_is_observation_only() {
-        let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let recorded = simulate_with(
-            &cfg,
-            &SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() },
-        );
-        // The acceptance invariant: the recorder never perturbs the
-        // simulation — bitwise-equal reports.
-        assert_eq!(plain, recorded.report);
-        let flight = recorded.flight.expect("flight requested");
-
-        // Ring conservation and accounting identities against the
-        // report and the self-profiler's event counts.
-        assert_eq!(flight.events_seen, flight.events_retained + flight.events_evicted);
-        assert_eq!(flight.terminals_seen, flight.terminals_retained + flight.terminals_evicted);
-        assert_eq!(
-            flight.terminals_seen,
-            plain.completed + plain.rejected + plain.expired,
-            "every request reaches exactly one terminal row"
-        );
-        let profiled = simulate_profiled(&cfg).profile.expect("profile");
-        assert_eq!(flight.events_seen, profiled.work.events_total);
     }
 
     #[test]
@@ -2035,6 +1886,28 @@ mod tests {
             SimOptions { flight: Some(FlightConfig::default()), ..SimOptions::default() };
         let again = simulate_with(&cfg, &flight_only).flight.expect("flight");
         assert_eq!(full.flight.expect("flight"), again);
+    }
+
+    #[test]
+    fn flight_health_trigger_fires_on_the_alarm_event() {
+        // Health samples each event before flight reads the alarm count,
+        // so the trigger lands on the event whose sample raised the
+        // first alarm (ambient 300 K is already past 299 K), not later.
+        let health = HealthConfig { max_temperature_kelvin: 299.0, ..HealthConfig::default() };
+        let flight = FlightConfig {
+            burn: None,
+            expiry_burst: None,
+            queue_depth_threshold: None,
+            ..FlightConfig::default()
+        };
+        let opts =
+            SimOptions { health: Some(health), flight: Some(flight), ..SimOptions::default() };
+        let out = simulate_with(&ServeConfig::example(), &opts);
+        let first_alarm = out.health.expect("health requested").alarms[0].t_ns;
+        let flight = out.flight.expect("flight requested");
+        let incident = flight.incidents.first().expect("the health alarm trigger fired");
+        let trigger = &incident.triggers[0];
+        assert_eq!((trigger.kind, trigger.t_ns), (crate::TriggerKind::HealthAlarm, first_alarm));
     }
 
     #[test]

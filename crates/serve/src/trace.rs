@@ -44,7 +44,9 @@
 
 use crate::health::FleetHealthSample;
 use crate::model::InvocationPhases;
+use crate::observer::{BatchDone, Finish, Observer, Sample, Terminal};
 use crate::request::RequestClass;
+use crate::sim::SimOutcome;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use star_telemetry::{ChromeTrace, Span};
@@ -159,7 +161,7 @@ pub struct ServeTrace {
     /// event time, post-event state).
     pub samples: Vec<SystemSample>,
     /// Device-health timeseries (empty unless the run was health-
-    /// monitored; see [`crate::health::HealthMonitor`]). Sampled on the
+    /// monitored; see [`crate::health`]). Sampled on the
     /// monitor's deterministic grid, rendered as per-instance
     /// temperature / accuracy-margin / wear counter tracks in the
     /// Perfetto export.
@@ -291,6 +293,84 @@ impl ServeTrace {
             .ok_or_else(|| format!("not a serve trace: missing `{TRACE_SIDECAR_KEY}` key"))?;
         serde_json::from_value(sidecar.clone())
             .map_err(|e| format!("malformed `{TRACE_SIDECAR_KEY}` sidecar: {e}"))
+    }
+}
+
+/// The trace records every lifecycle event as plain data. Completed
+/// requests get their span trees with their batch, which carries the
+/// phase decomposition; terminals add only the rejected and expired.
+impl Observer for ServeTrace {
+    fn on_batch_done(&mut self, b: &BatchDone<'_>) {
+        let size = b.members.len();
+        let service_ns = b.done_ns - b.dispatch_ns;
+        let span =
+            invocation_span(format!("{} x{size}", b.class), b.dispatch_ns, service_ns, &b.phases);
+        self.batches.push(BatchTrace { instance: b.instance, class: b.class, size, span });
+        for req in b.members {
+            let latency = b.done_ns - req.arrive_ns;
+            let queue = Span::leaf("queue", "queue", req.arrive_ns, b.dispatch_ns - req.arrive_ns);
+            let span = Span::leaf(
+                format!("req{} {}", req.id, req.class),
+                "request",
+                req.arrive_ns,
+                latency,
+            )
+            .with_child(queue)
+            .with_child(invocation_span(
+                "invoke",
+                b.dispatch_ns,
+                service_ns,
+                &b.phases,
+            ));
+            self.requests.push(RequestTrace {
+                id: req.id,
+                class: req.class,
+                outcome: if latency <= self.deadline_ns {
+                    RequestOutcome::Good
+                } else {
+                    RequestOutcome::Late
+                },
+                batch_size: size,
+                instance: Some(b.instance),
+                span,
+            });
+        }
+    }
+
+    fn on_terminal(&mut self, t: &Terminal) {
+        if t.outcome.is_completed() {
+            return;
+        }
+        // A rejected request's lifecycle is one instant; an expired one
+        // spent its whole (futile) lifetime queued.
+        let wait = t.finish_ns - t.arrive_ns;
+        let mut span = Span::leaf(format!("req{} {}", t.id, t.class), "request", t.arrive_ns, wait);
+        if t.outcome == RequestOutcome::Expired {
+            span.push_child(Span::leaf("queue", "queue", t.arrive_ns, wait));
+        }
+        self.requests.push(RequestTrace {
+            id: t.id,
+            class: t.class,
+            outcome: t.outcome,
+            batch_size: 0,
+            instance: None,
+            span,
+        });
+    }
+
+    /// One sample per distinct event time: later events at the same
+    /// instant overwrite, so the sample reflects the settled state.
+    fn on_sample(&mut self, s: &Sample) {
+        let (queued, busy) = (s.queued as u64, s.busy as u64);
+        match self.samples.last_mut() {
+            Some(last) if last.t_ns == s.t_ns => (last.queued, last.busy) = (queued, busy),
+            _ => self.samples.push(SystemSample { t_ns: s.t_ns, queued, busy }),
+        }
+    }
+
+    fn finish(mut self: Box<Self>, end: &Finish<'_>, out: &mut SimOutcome) {
+        self.makespan_ns = end.makespan_ns;
+        out.trace = Some(*self);
     }
 }
 

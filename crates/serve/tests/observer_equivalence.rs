@@ -103,38 +103,31 @@ fn edf_hetero_config() -> ServeConfig {
     cfg
 }
 
-/// One gallery row: a config plus the health monitor its runs attach.
+/// One gallery row: a named config.
 struct Case {
     name: &'static str,
     cfg: ServeConfig,
-    health: HealthConfig,
 }
 
 impl Case {
-    /// The options every run of this case starts from. Wear-leveling is
-    /// the one observer allowed to steer placement, so a wear-leveled
-    /// row keeps its monitor attached in every run; other rows start
-    /// with nothing attached.
-    fn base(&self) -> SimOptions {
-        let health = self.health.wear_leveling.then(|| self.health.clone());
-        SimOptions { health, ..SimOptions::default() }
-    }
-
-    /// Trace and health attached: the surfaces every other observer is
-    /// compared on.
-    fn observed(&self) -> SimOptions {
-        SimOptions { traced: true, health: Some(self.health.clone()), ..self.base() }
-    }
-
     fn run(&self, opts: &SimOptions) -> SimOutcome {
         simulate_with(&self.cfg, opts)
     }
 }
 
+/// Trace and health attached: the surfaces every other observer is
+/// compared on.
+fn observed() -> SimOptions {
+    SimOptions { traced: true, health: Some(HealthConfig::default()), ..SimOptions::default() }
+}
+
 fn gallery() -> Vec<Case> {
-    let case = |name, cfg| Case { name, cfg, health: HealthConfig::default() };
+    let case = |name, cfg| Case { name, cfg };
+    // Round-robin placement over a wide saturated fleet: the wear-leveled
+    // row of A9.
     let mut wear_leveled = stress_config();
     wear_leveled.fleet = 4;
+    wear_leveled.control.placement = PlacementPolicy::RoundRobin;
     vec![
         case("example", ServeConfig::example()),
         case("stress", stress_config()),
@@ -142,11 +135,7 @@ fn gallery() -> Vec<Case> {
         case("closed_loop", closed_loop_config()),
         case("wfq_autoscale", wfq_autoscale_config()),
         case("edf_hetero", edf_hetero_config()),
-        Case {
-            name: "wear_leveled",
-            cfg: wear_leveled,
-            health: HealthConfig { wear_leveling: true, ..HealthConfig::default() },
-        },
+        case("wear_leveled", wear_leveled),
     ]
 }
 
@@ -207,15 +196,13 @@ fn assert_same(label: &str, a: &SimOutcome, b: &SimOutcome) {
 #[test]
 fn every_observer_is_invisible_across_the_gallery() {
     for case in gallery() {
-        let observed = case.observed();
+        let observed = observed();
         let reference = case.run(&observed);
         assert!(reference.trace.is_some() && reference.health.is_some());
-        if !case.health.wear_leveling {
-            assert_eq!(simulate(&case.cfg), reference.report, "{}: plain report", case.name);
-        }
+        assert_eq!(simulate(&case.cfg), reference.report, "{}: plain report", case.name);
         let rows = [
-            ("nothing attached", case.base()),
-            ("trace only", SimOptions { traced: true, ..case.base() }),
+            ("nothing attached", SimOptions::default()),
+            ("trace only", SimOptions { traced: true, ..SimOptions::default() }),
             ("health only", SimOptions { traced: false, ..observed.clone() }),
             ("+ profile", SimOptions { profiled: true, ..observed.clone() }),
             ("+ flight", SimOptions { flight: Some(flight_config()), ..observed.clone() }),
@@ -257,16 +244,15 @@ fn worker_count_never_changes_observer_output() {
     // `star-exec` workers. Each output below, run over the gallery on
     // one and on eight workers, must reproduce the inline runs.
     let cases = gallery();
-    type Options = fn(&Case) -> SimOptions;
-    let outputs: [(&str, Options); 3] = [
-        ("fully observed", |case| SimOptions { profiled: true, ..case.observed() }),
-        ("flight dump", |case| SimOptions { flight: Some(flight_config()), ..case.base() }),
-        ("blame table", |case| SimOptions { blamed: true, ..case.base() }),
+    let outputs = [
+        ("fully observed", SimOptions { profiled: true, ..observed() }),
+        ("flight dump", SimOptions { flight: Some(flight_config()), ..SimOptions::default() }),
+        ("blame table", SimOptions { blamed: true, ..SimOptions::default() }),
     ];
     for (output, opts) in outputs {
-        let inline: Vec<SimOutcome> = cases.iter().map(|case| case.run(&opts(case))).collect();
+        let inline: Vec<SimOutcome> = cases.iter().map(|case| case.run(&opts)).collect();
         for threads in [1usize, 8] {
-            let runs = Executor::new(threads).par_map(&cases, |_, case| case.run(&opts(case)));
+            let runs = Executor::new(threads).par_map(&cases, |_, case| case.run(&opts));
             for ((case, want), got) in cases.iter().zip(&inline).zip(&runs) {
                 assert_same(&format!("{} {output} @ {threads} threads", case.name), want, got);
             }
@@ -282,7 +268,7 @@ fn conservation_holds_across_the_gallery() {
             profiled: true,
             flight: Some(flight_config()),
             blamed: true,
-            ..case.base()
+            ..SimOptions::default()
         };
         let outcome = case.run(&opts);
         let r = &outcome.report;

@@ -485,7 +485,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_with, HealthConfig, HealthModel, SimOptions, WearRates};
+    use star::serve::{
+        simulate_with, HealthConfig, HealthModel, PlacementPolicy, SimOptions, WearRates,
+    };
     let mut wear_leveling = false;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
@@ -497,9 +499,12 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
             positional.push(a);
         }
     }
-    let cfg = serve_point_config(&positional)?;
+    let mut cfg = serve_point_config(&positional)?;
+    if wear_leveling {
+        cfg.control.placement = PlacementPolicy::RoundRobin;
+    }
     let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
-    let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
+    let health_cfg = HealthConfig::default();
     let outcome = simulate_with(
         &cfg,
         &SimOptions { health: Some(health_cfg.clone()), ..SimOptions::default() },
