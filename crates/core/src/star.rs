@@ -28,6 +28,10 @@
 //! [`CamCrossbar::matches`], [`LutCrossbar::peek_row`]), and looks the
 //! result up after that. The stages that draw random numbers — the noisy
 //! subtract and the summation VMM — still run per read, in the same order.
+//! The VMM still sums each bitline over the driven rows and draws its read
+//! noise in the same order, but reads each cell's contribution from a
+//! cache the array fills on its first multiply
+//! (see [`VmmCrossbar::multiply_with`]).
 //! Every row still records its per-operation costs — `n` searches, one
 //! merge, `n` subtracts, `n` exp searches and `n` LUT reads — in the array
 //! ledgers and telemetry, in bulk and with bit-identical totals. The

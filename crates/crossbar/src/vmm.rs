@@ -98,6 +98,15 @@ pub struct VmmCrossbar {
     tech: TechnologyParams,
     ir_drop: Option<IrDropModel>,
     ledger: Ledger,
+    /// Each cell's normalized bitline contribution
+    /// `atten · (g − g_hrs) / unit`, row-major over (row, physical
+    /// column). Empty until the next multiply fills it; cleared by
+    /// `store_weights` and `set_ir_drop`.
+    contrib: Vec<f64>,
+    /// Driven rows grouped by input bit, ascending within each group.
+    planes: Vec<Vec<usize>>,
+    /// One bit-plane's per-bitline current sums.
+    bitlines: Vec<f64>,
 }
 
 impl VmmCrossbar {
@@ -170,6 +179,9 @@ impl VmmCrossbar {
             tech: *tech,
             ir_drop: None,
             ledger: Ledger::new(),
+            contrib: Vec::new(),
+            planes: Vec::new(),
+            bitlines: Vec::new(),
         }
     }
 
@@ -186,6 +198,7 @@ impl VmmCrossbar {
     /// Enables the first-order IR-drop model for subsequent multiplies.
     pub fn set_ir_drop(&mut self, model: Option<IrDropModel>) {
         self.ir_drop = model;
+        self.contrib.clear();
     }
 
     /// The active IR-drop model, if any.
@@ -231,6 +244,7 @@ impl VmmCrossbar {
                 }
             }
         }
+        self.contrib.clear();
         star_telemetry::count("device.rram.writes", (self.rows * self.cols * self.slices) as u64);
     }
 
@@ -293,6 +307,31 @@ impl VmmCrossbar {
 
     /// Like [`VmmCrossbar::multiply`] but applying the array's read-noise
     /// model using the provided RNG.
+    ///
+    /// The bitline sums read a per-cell contribution cache: each cell's
+    /// normalized current `atten · (g − g_hrs) / unit`, computed with the
+    /// same expression the dense sweep evaluates per read, so every term
+    /// is bitwise the one it would sum. The cache is built on the first
+    /// multiply and cleared by the only two methods that change a term:
+    /// [`VmmCrossbar::store_weights`] (which
+    /// [`VmmCrossbar::reprogram_weights`] calls) and
+    /// [`VmmCrossbar::set_ir_drop`]. It stores the attenuation-folded
+    /// value rather than the raw conductance because the IR-drop factor
+    /// is a per-position constant of the array, and folding it in leaves
+    /// one load and one add per driven cell.
+    ///
+    /// Driven rows are grouped by input bit, each group in ascending row
+    /// order, so every bitline sums its cells in the same order as a
+    /// dense sweep. Read noise is drawn after each sum, once per (bit,
+    /// column, slice) in column-major, slice-minor order, so a noisy
+    /// array consumes the same random stream. On a noiseless array a
+    /// bit with no driven row is skipped: it would add `+0.0` to every
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`VmmCrossbar::multiply`], except that a
+    /// read-noise model is allowed.
     pub fn multiply_with<R: Rng + ?Sized>(
         &mut self,
         inputs: &[u64],
@@ -301,50 +340,51 @@ impl VmmCrossbar {
     ) -> Vec<f64> {
         assert_eq!(inputs.len(), self.rows, "input length mismatch");
         assert!((1..=32).contains(&input_bits), "input bits must be in 1..=32");
-        let limit = if input_bits == 64 { u64::MAX } else { 1u64 << input_bits };
-        for &x in inputs {
-            assert!(x < limit, "input {x} overflows {input_bits} bits");
+        let limit = 1u64 << input_bits;
+        let bits = input_bits as usize;
+        if self.planes.len() < bits {
+            self.planes.resize_with(bits, Vec::new);
         }
-        // Rows with a zero input contribute to no bitline in any cycle, so
-        // only the driven rows are visited. Each bitline still sums its
-        // cells in ascending row order, and read noise is still drawn once
-        // per (bit, column, slice), so the result is bit-identical to a
-        // dense sweep.
-        let driven: Vec<(usize, u64)> =
-            inputs.iter().enumerate().filter(|&(_, &x)| x != 0).map(|(r, &x)| (r, x)).collect();
-        let mut outputs = vec![0.0f64; self.cols];
-        let unit = self.tech.g_lrs() - self.tech.g_hrs();
+        for plane in &mut self.planes[..bits] {
+            plane.clear();
+        }
+        for (r, &x) in inputs.iter().enumerate() {
+            assert!(x < limit, "input {x} overflows {input_bits} bits");
+            let mut rest = x;
+            while rest != 0 {
+                self.planes[rest.trailing_zeros() as usize].push(r);
+                rest &= rest - 1;
+            }
+        }
+        if self.contrib.is_empty() {
+            self.contrib = self.contributions();
+        }
+        let physical_cols = self.cols * self.slices;
+        let noisy = self.noise.read_sigma > 0.0;
         let level_span = ((1u16 << self.bits_per_cell) - 1) as f64;
+        let mut outputs = vec![0.0f64; self.cols];
         // One cycle per input bit, MSB first.
-        #[allow(clippy::needless_range_loop)] // c indexes both cells and outputs
-        for b in (0..input_bits as usize).rev() {
-            for c in 0..self.cols {
-                for s in 0..self.slices {
-                    // Normalized bitline current: each active cell adds its
-                    // level fraction level/(levels−1) ∈ [0, 1].
-                    let mut current = 0.0f64;
-                    let physical_col = c * self.slices + s;
-                    for &(r, x) in &driven {
-                        if (x >> b) & 1 == 1 {
-                            let g = self.cells[r][physical_col].conductance();
-                            let atten = match self.ir_drop {
-                                Some(m) => m.attenuation(
-                                    r,
-                                    physical_col,
-                                    self.rows,
-                                    self.cols * self.slices,
-                                    self.tech.g_lrs(),
-                                ),
-                                None => 1.0,
-                            };
-                            current += atten * (g - self.tech.g_hrs()) / unit;
-                        }
-                    }
-                    let current = if self.noise.read_sigma > 0.0 {
-                        self.noise.read(current, rng).max(0.0)
-                    } else {
-                        current
-                    };
+        for b in (0..bits).rev() {
+            let plane = &self.planes[b];
+            if plane.is_empty() && !noisy {
+                continue;
+            }
+            // Normalized bitline currents: each active cell adds its level
+            // fraction level/(levels−1) ∈ [0, 1], rows in ascending order.
+            self.bitlines.clear();
+            self.bitlines.resize(physical_cols, 0.0);
+            for &r in plane {
+                let row = &self.contrib[r * physical_cols..(r + 1) * physical_cols];
+                for (current, &term) in self.bitlines.iter_mut().zip(row) {
+                    *current += term;
+                }
+            }
+            // Powers of two below 2^32 are exact, so these equal `powi`.
+            let bit_weight = (1u64 << b) as f64;
+            for (out, lines) in outputs.iter_mut().zip(self.bitlines.chunks_exact(self.slices)) {
+                for (s, &current) in lines.iter().enumerate() {
+                    let current =
+                        if noisy { self.noise.read(current, rng).max(0.0) } else { current };
                     // Convert normalized current to a digit sum: the digit
                     // grid has `levels−1` steps per row.
                     let digit_sum = match self.readout {
@@ -359,7 +399,7 @@ impl VmmCrossbar {
                         }
                     };
                     let digit_shift = self.bits_per_cell as usize * (self.slices - 1 - s);
-                    outputs[c] += digit_sum * 2f64.powi(b as i32) * 2f64.powi(digit_shift as i32);
+                    *out += digit_sum * bit_weight * (1u64 << digit_shift) as f64;
                 }
             }
         }
@@ -369,6 +409,36 @@ impl VmmCrossbar {
         star_telemetry::count("crossbar.vmm.bit_cycles", input_bits as u64);
         star_telemetry::add("crossbar.vmm.energy_pj", cost.energy.value());
         outputs
+    }
+
+    /// Every cell's normalized bitline contribution, row-major over
+    /// (row, physical column): the term a driven cell adds to its
+    /// bitline's current.
+    fn contributions(&self) -> Vec<f64> {
+        let unit = self.tech.g_lrs() - self.tech.g_hrs();
+        let physical_cols = self.cols * self.slices;
+        let mut contrib = Vec::with_capacity(self.rows * physical_cols);
+        for (r, row) in self.cells.iter().enumerate() {
+            for (physical_col, cell) in row.iter().enumerate() {
+                let g = cell.conductance();
+                let atten = match self.ir_drop {
+                    Some(m) => {
+                        m.attenuation(r, physical_col, self.rows, physical_cols, self.tech.g_lrs())
+                    }
+                    None => 1.0,
+                };
+                contrib.push(atten * (g - self.tech.g_hrs()) / unit);
+            }
+        }
+        contrib
+    }
+
+    /// Sets a stuck fault on one physical cell, invalidating the
+    /// contribution cache like every other cell write.
+    #[cfg(test)]
+    fn inject_fault(&mut self, row: usize, physical_col: usize, fault: star_device::StuckFault) {
+        self.cells[row][physical_col].set_fault(fault);
+        self.contrib.clear();
     }
 
     /// Cost of one full VMM (all input bits): per cycle, wordline drives +
@@ -575,8 +645,23 @@ mod tests {
         outputs
     }
 
+    /// Runs `multiply_with` and `dense_reference` from equal RNG states and
+    /// asserts bit-identical outputs and the same number of draws.
+    fn assert_matches_dense(x: &mut VmmCrossbar, inputs: &[u64], input_bits: u8, label: &str) {
+        let mut fast_rng = ChaCha8Rng::seed_from_u64(99);
+        let mut ref_rng = ChaCha8Rng::seed_from_u64(99);
+        let fast = x.multiply_with(inputs, input_bits, &mut fast_rng);
+        let dense = dense_reference(x, inputs, input_bits, &mut ref_rng);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&dense), "{label}");
+        // Both consumed the same draws, so the streams stay aligned.
+        assert_eq!(fast_rng.gen::<u64>(), ref_rng.gen::<u64>(), "{label}: draw count");
+    }
+
     #[test]
     fn sparse_multiply_matches_dense_reference_bitwise() {
+        use star_fixed::{encoding, Fixed, Rounding};
+        use star_workload::Dataset;
         let tech = TechnologyParams::cmos32();
         let typical = NoiseModel::typical();
         let faulty = NoiseModel::new(0.0, 0.0, 0.05, 0.05);
@@ -595,16 +680,22 @@ mod tests {
                 Some(IrDropModel::typical()),
             ),
         ];
+        let weights = |salt: usize| -> Vec<Vec<u32>> {
+            (0..40)
+                .map(|r| (0..3).map(|c| ((r * 37 + c * 101 + salt) % 512) as u32).collect())
+                .collect()
+        };
+        // Every third row driven, the rest idle.
+        let probe: Vec<u64> =
+            (0..40).map(|r| if r % 3 == 0 { (r * 5 + 3) % 64 } else { 0 }).collect();
         for (name, bpc, readout, noise, ir) in arrays {
             let mut build_rng = ChaCha8Rng::seed_from_u64(5);
             let mut x = VmmCrossbar::with_mlc(40, 3, 9, bpc, readout, &tech, noise, &mut build_rng);
             x.set_ir_drop(ir);
-            let w: Vec<Vec<u32>> = (0..40)
-                .map(|r| (0..3).map(|c| ((r * 37 + c * 101) % 512) as u32).collect())
-                .collect();
-            x.store_weights(&w);
+            x.store_weights(&weights(0));
             for density in [0usize, 1, 3, 7, 40] {
-                // Every `density`-th row driven (0 = all rows idle).
+                // Every `density`-th row driven (0 = all rows idle, which on
+                // a noisy array must still draw once per bit and bitline).
                 let inputs: Vec<u64> =
                     (0..40)
                         .map(|r| {
@@ -615,18 +706,65 @@ mod tests {
                             }
                         })
                         .collect();
-                let mut fast_rng = ChaCha8Rng::seed_from_u64(99);
-                let mut ref_rng = ChaCha8Rng::seed_from_u64(99);
-                let fast = x.multiply_with(&inputs, 6, &mut fast_rng);
-                let dense = dense_reference(&x, &inputs, 6, &mut ref_rng);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&fast), bits(&dense), "{name}, density {density}");
-                // Both consumed the same draws, so the streams stay aligned.
-                assert_eq!(
-                    fast_rng.gen::<u64>(),
-                    ref_rng.gen::<u64>(),
-                    "{name}, density {density}"
+                // The first multiply fills the contribution cache; the
+                // second is served from it.
+                assert_matches_dense(&mut x, &inputs, 6, &format!("{name}, density {density}"));
+                assert_matches_dense(
+                    &mut x,
+                    &inputs,
+                    6,
+                    &format!("{name}, density {density}, warm"),
                 );
+            }
+            // Every method that changes a cell's term must invalidate the
+            // cache: `dense_reference` reads the cells, so a stale entry
+            // shows up as a mismatch.
+            let before = x.multiply_with(&probe, 6, &mut ChaCha8Rng::seed_from_u64(1));
+            x.store_weights(&weights(7));
+            assert_matches_dense(&mut x, &probe, 6, &format!("{name}, after store_weights"));
+            let after = x.multiply_with(&probe, 6, &mut ChaCha8Rng::seed_from_u64(1));
+            assert_ne!(before, after, "{name}: new weights must change the output");
+            x.reprogram_weights(&weights(0));
+            assert_matches_dense(&mut x, &probe, 6, &format!("{name}, after reprogram_weights"));
+            let toggled =
+                if ir.is_some() { None } else { Some(IrDropModel { wire_resistance_ohm: 250.0 }) };
+            x.set_ir_drop(toggled);
+            assert_matches_dense(&mut x, &probe, 6, &format!("{name}, IR drop toggled"));
+            x.set_ir_drop(ir);
+            assert_matches_dense(&mut x, &probe, 6, &format!("{name}, IR drop restored"));
+        }
+
+        // The summation VMM of a MRPC engine: 256 exp rows, one 18-bit
+        // output on 18 single-bit slices, 10 counter bits, driven by the
+        // match-counter histograms of dataset-profile score rows.
+        let fmt = Dataset::Mrpc.paper_format();
+        let magnitudes = fmt.num_magnitudes() as usize;
+        let scale = ((1u64 << 18) - 1) as f64;
+        let exp_table: Vec<Vec<u32>> = (0..magnitudes)
+            .map(|m| vec![((-(m as f64) * fmt.resolution()).exp() * scale).round() as u32])
+            .collect();
+        let profile = Dataset::Mrpc.profile();
+        let mut rows_rng = ChaCha8Rng::seed_from_u64(17);
+        for (name, noise) in
+            [("ideal", NoiseModel::ideal()), ("noisy", noisy), ("typical", typical)]
+        {
+            let mut build_rng = ChaCha8Rng::seed_from_u64(2);
+            let mut x =
+                VmmCrossbar::new(magnitudes, 1, 18, Readout::Ideal, &tech, noise, &mut build_rng);
+            x.store_weights(&exp_table);
+            for n in [64, 128, 512] {
+                let codes: Vec<i64> = profile
+                    .generate_row(n, &mut rows_rng)
+                    .iter()
+                    .map(|&v| Fixed::from_f64(v, fmt, Rounding::Nearest).raw())
+                    .collect();
+                let max = *codes.iter().max().expect("non-empty row");
+                let mut histogram = vec![0u64; magnitudes];
+                for &c in &codes {
+                    let diff = encoding::clamp_for_magnitude(Fixed::from_raw(c - max, fmt));
+                    histogram[diff.magnitude_code() as usize] += 1;
+                }
+                assert_matches_dense(&mut x, &histogram, 10, &format!("engine {name}, n {n}"));
             }
         }
     }
@@ -662,11 +800,15 @@ mod tests {
         let mut x = vmm(2, 1, 4, Readout::Ideal);
         x.store_weights(&[vec![0b1010], vec![0b0101]]);
         assert_eq!(x.effective_weight(0, 0), 0b1010);
+        // Fill the contribution cache before the fault lands.
+        assert_eq!(x.multiply(&[1, 1], 1), vec![(0b1010 + 0b0101) as f64]);
         // MSB slice of weight (0,0) stuck off: 0b1010 -> 0b0010.
-        x.cells[0][0].set_fault(star_device::StuckFault::StuckOff);
+        x.inject_fault(0, 0, star_device::StuckFault::StuckOff);
         assert_eq!(x.effective_weight(0, 0), 0b0010);
         let y = x.multiply_exact(&[1, 1]);
         assert_eq!(y[0], 0b0010 + 0b0101);
+        // The analog path sees the fault too, not a stale cached term.
+        assert_eq!(x.multiply(&[1, 1], 1), vec![(0b0010 + 0b0101) as f64]);
     }
 
     #[test]

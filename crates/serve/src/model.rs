@@ -302,7 +302,19 @@ impl ServiceModel {
     ///
     /// Panics if `batch` is zero or `class` is unknown.
     pub fn invocation_phases(&self, class: RequestClass, batch: usize) -> InvocationPhases {
-        let total = self.batch_cost(class, batch).latency_ns;
+        self.phases_of(class, batch, self.batch_cost(class, batch).latency_ns)
+    }
+
+    /// [`ServiceModel::invocation_phases`] for an invocation whose
+    /// `batch_cost(class, batch).latency_ns` is already known as `total`,
+    /// so the event loop can decompose a dispatched batch without costing
+    /// it again.
+    pub(crate) fn phases_of(
+        &self,
+        class: RequestClass,
+        batch: usize,
+        total: f64,
+    ) -> InvocationPhases {
         let c = self.class(class);
         let rows = (batch * class.seq_len) as f64;
         let overhead_ns = self.config.invoke_overhead_ns;

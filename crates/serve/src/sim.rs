@@ -183,6 +183,8 @@ impl ServeConfig {
 struct Batch {
     class: RequestClass,
     dispatch_ns: f64,
+    /// The dispatch-time `BatchCost::latency_ns` of this invocation.
+    latency_ns: f64,
     members: Vec<Request>,
 }
 
@@ -667,7 +669,11 @@ impl<'a> Sim<'a> {
                 dispatch_ns: batch.dispatch_ns,
                 done_ns: now,
                 members: &batch.members,
-                phases: self.services[self.model_of[instance]].invocation_phases(batch.class, size),
+                phases: self.services[self.model_of[instance]].phases_of(
+                    batch.class,
+                    size,
+                    batch.latency_ns,
+                ),
             };
             self.notify(|o| o.on_batch_done(&done));
         }
@@ -929,7 +935,7 @@ impl<'a> Sim<'a> {
                 finish,
                 EventKind::InstanceFree {
                     instance,
-                    batch: Batch { class, dispatch_ns: now, members },
+                    batch: Batch { class, dispatch_ns: now, latency_ns: cost.latency_ns, members },
                 },
             );
         }
@@ -1449,7 +1455,7 @@ mod tests {
             (0..2).map(|id| Request { id, class, arrive_ns: t, client: None }).collect();
         sim.event_seq = 2;
         sim.push_event(t, EventKind::WindowExpire(class));
-        let batch = Batch { class, dispatch_ns: 0.0, members: Vec::new() };
+        let batch = Batch { class, dispatch_ns: 0.0, latency_ns: 0.0, members: Vec::new() };
         sim.push_event(t, EventKind::InstanceFree { instance: 0, batch });
         sim.push_event(t - 1.0, EventKind::WindowExpire(class));
         let order: Vec<(f64, u64, &str)> = std::iter::from_fn(|| sim.pop_event())
